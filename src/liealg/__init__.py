@@ -29,10 +29,7 @@ from .lifting import (
     MultiIndexSpace,
     full_rank_predicate,
     grid_eval,
-    lifted_compose,
     lifted_diff,
-    lifted_identity,
-    lifted_mult,
     poly_operator_matrix,
     realize,
     star,
@@ -43,11 +40,9 @@ from .linalg import (
     format_matrix,
     kron,
     lu_solve,
-    mat_mul,
     numerical_rank,
 )
 from .operators import (
-    OperatorPoly1D,
     apply_operator_poly,
     diff_matrix,
     differentiate_values,
@@ -57,7 +52,6 @@ from .partitions import (
     Partition,
     interpolate_1d,
     jittered_partition,
-    lagrange_eval,
     pi_weights,
     read_partition,
     tensor_interpolate,

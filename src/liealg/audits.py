@@ -78,8 +78,13 @@ def _power_rank(h: np.ndarray, power: np.ndarray, k: int, rel_tol: float) -> int
     return numerical_rank(power, rel_tol)
 
 
-def audit_diff_rank(p: Partition, rel_tol: float = 1e-8) -> tuple[AuditReport, AuditReport]:
-    """Check that the differentiation matrix has rank n and vanishing (n+1)-th power."""
+def audit_diff_rank(p: Partition, rel_tol: float = 1e-8,
+                    prefix: str = "diff_") -> tuple[AuditReport, AuditReport]:
+    """Check that the differentiation matrix has rank n and vanishing (n+1)-th power.
+
+    The two case names are ``prefix`` followed by ``rank[n=..]`` and
+    ``nilpotent[n=..]``.
+    """
     n = p.n
     if n > MAX_LADDER_N:
         raise ValueError(
@@ -88,15 +93,18 @@ def audit_diff_rank(p: Partition, rel_tol: float = 1e-8) -> tuple[AuditReport, A
             "checks (exact-arithmetic verification is out of scope)")
     z = diff_matrix(p)
     power = np.linalg.matrix_power(z, n + 1)
-    rank_report = AuditReport(f"diff_rank[n={n}]", n, numerical_rank(z, rel_tol), rel_tol)
+    rank_report = AuditReport(f"{prefix}rank[n={n}]", n, numerical_rank(z, rel_tol), rel_tol)
     nil_report = AuditReport(
-        f"diff_nilpotent[n={n}]", True,
+        f"{prefix}nilpotent[n={n}]", True,
         _is_power_zero(z, power, n + 1, NILPOTENCY_TOL), NILPOTENCY_TOL)
     return rank_report, nil_report
 
 
-def audit_rank_ladder(h, rel_tol: float = 1e-8) -> list[AuditReport]:
-    """Check rank H^k == n+1-k for k = 0..n+1, given H of rank n with H^(n+1) == 0."""
+def audit_rank_ladder(h, rel_tol: float = 1e-8, prefix: str = "rank_ladder") -> list[AuditReport]:
+    """Check rank H^k == n+1-k for k = 0..n+1, given H of rank n with H^(n+1) == 0.
+
+    Case names are ``prefix`` followed by ``[k=..]``.
+    """
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"rank ladder needs a square matrix, got shape {h.shape}")
@@ -110,7 +118,7 @@ def audit_rank_ladder(h, rel_tol: float = 1e-8) -> list[AuditReport]:
     power = np.eye(n + 1)
     for k in range(n + 2):
         observed = _power_rank(h, power, k, rel_tol)
-        reports.append(AuditReport(f"rank_ladder[k={k}]", n + 1 - k, observed, rel_tol))
+        reports.append(AuditReport(f"{prefix}[k={k}]", n + 1 - k, observed, rel_tol))
         power = power @ h
     return reports
 
@@ -200,18 +208,14 @@ def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     reports += audit_diff_rank(Partition(np.array([0.0, 1.0, 2.0])), rel_tol)
     for t in range(100):
         n = int(rng.integers(2, 11))
-        for r in audit_diff_rank(jittered_partition(rng, n), rel_tol):
-            name = r.case_name.replace("diff_", f"diff_random{t:03d}_")
-            reports.append(AuditReport(name, r.expected, r.observed, r.tolerance))
+        reports += audit_diff_rank(jittered_partition(rng, n), rel_tol, f"diff_random{t:03d}_")
 
     for label, h in (
         ("z01", diff_matrix(Partition(np.array([0.0, 1.0])))),
         ("z012", diff_matrix(Partition(np.array([0.0, 1.0, 2.0])))),
         ("jordan2", np.array([[0.0, 1.0], [0.0, 0.0]])),
     ):
-        for r in audit_rank_ladder(h, rel_tol):
-            name = r.case_name.replace("rank_ladder", f"rank_ladder_{label}")
-            reports.append(AuditReport(name, r.expected, r.observed, r.tolerance))
+        reports += audit_rank_ladder(h, rel_tol, f"rank_ladder_{label}")
 
     reports.append(audit_nilpotent_poly_rank(
         diff_matrix(uniform_partition(0.0, 1.0, 4)), [1.0, 0.0, 1.0], 0, rel_tol))

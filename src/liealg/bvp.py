@@ -28,10 +28,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from .lifting import grid_eval, lifted_diff, lifted_identity, lifted_mult, realize, space_of
+from .lifting import _grid_coordinates, grid_eval, lifted_diff, poly_operator_matrix, realize
 from .linalg import lu_solve
-from .operators import OperatorPoly1D, apply_operator_poly
+from .operators import apply_operator_poly
 from .partitions import Partition, uniform_partition
 
 __all__ = [
@@ -43,15 +44,14 @@ __all__ = [
     "hyperbolic_rhs",
     "solve_hyperbolic",
     "format_surface",
-    "write_surface",
 ]
 
 
 @dataclass(frozen=True)
 class BvpReport:
-    """Solution vectors and error metrics of one experiment run."""
+    """Solution vectors and error metrics of one experiment run on its partitions."""
 
-    sizes: tuple[int, ...]
+    partitions: tuple[Partition, ...]
     v_sigma: np.ndarray
     u_sigma: np.ndarray
     error_sum: float
@@ -88,8 +88,6 @@ _P_COEFFS = (0.0, -math.pi, 3.0, -2.0 / math.pi)
 _Q_COEFFS = (-2.0 * math.pi, 12.0, -12.0 / math.pi)
 _R_COEFFS = (6.0, -12.0 / math.pi - math.pi, 3.0, -2.0 / math.pi)
 
-TWO_POINT_OPERATOR = OperatorPoly1D(((_P_COEFFS, 2), (_Q_COEFFS, 1), (_R_COEFFS, 0)))
-
 
 def solve_two_point(n: int, include_zero_endpoint: bool = False) -> BvpReport:
     """Collocation solve of the transformed 1-D problem on n subintervals.
@@ -103,12 +101,14 @@ def solve_two_point(n: int, include_zero_endpoint: bool = False) -> BvpReport:
     a = 0.0 if include_zero_endpoint else 0.001
     part = uniform_partition(a, math.pi / 2.0, n)
     x = part.nodes
-    matrix = apply_operator_poly(TWO_POINT_OPERATOR, part)
+    matrix = apply_operator_poly([(npoly.polyval(x, _R_COEFFS), 0),
+                                  (npoly.polyval(x, _Q_COEFFS), 1),
+                                  (npoly.polyval(x, _P_COEFFS), 2)], part)
     rhs = two_point_coefficients(x)[3]
     v, rcond = lu_solve(matrix, rhs)
     u = (2.0 - 2.0 * x / math.pi) * (x * (x - math.pi / 2.0) * v + 1.0)
     e_sum, e_max, e_avg = error_metrics(u, _exact_two_point(x))
-    return BvpReport((n,), v, u, e_sum, e_max, e_avg, rcond)
+    return BvpReport((part,), v, u, e_sum, e_max, e_avg, rcond)
 
 
 def shooting_two_point(n: int) -> BvpReport:
@@ -123,7 +123,8 @@ def shooting_two_point(n: int) -> BvpReport:
     if n < 2:
         raise ValueError(f"n must be at least 2, got {n}")
     h = (math.pi / 2.0) / n
-    x = np.linspace(0.0, math.pi / 2.0, n + 1)
+    part = uniform_partition(0.0, math.pi / 2.0, n)
+    x = part.nodes
     w = np.empty(n + 1)
     v = np.empty(n + 1)
     w[0], v[0] = 2.0, 0.0
@@ -136,7 +137,7 @@ def shooting_two_point(n: int) -> BvpReport:
         raise RuntimeError(f"degenerate shooting denominator: v(pi/2) = {v[n]:.3e}")
     u = w + (1.0 - w[n]) / v[n] * v
     e_sum, e_max, e_avg = error_metrics(u, _exact_two_point(x))
-    return BvpReport((n,), v, u, e_sum, e_max, e_avg, math.nan)
+    return BvpReport((part,), v, u, e_sum, e_max, e_avg, math.nan)
 
 
 def hyperbolic_rhs(x, y):
@@ -149,15 +150,33 @@ def _exact_hyperbolic(x, y):
     return np.sin(1.0 - x * x - y * y)
 
 
+def _hyperbolic_system(ps: list[Partition]) -> tuple[np.ndarray, np.ndarray]:
+    """Operator K of the substituted 2-D problem and the mask 1 - x^2 - y^2.
+
+    K is summed as mask * (Dx^2 - Dy^2 + y Dx) - 4x Dx + 4y Dy - 2xy, every
+    coordinate factor a row scaling by a grid vector.  The grouping is kept
+    as written: at 15x15 the solve amplifies a one-ulp change of K into a
+    change of Emax of the order of Emax itself.
+    """
+    x, y = _grid_coordinates(ps)
+    mask = 1.0 - x * x - y * y
+    dx = realize(lifted_diff(1, ps))
+    dy = realize(lifted_diff(2, ps))
+    principal = poly_operator_matrix([(1.0, (2, 0)), (-1.0, (0, 2)), (y, (1, 0))], ps)
+    k = (mask[:, None] * principal - (4.0 * x)[:, None] * dx + (4.0 * y)[:, None] * dy
+         - np.diag(2.0 * x * y))
+    return k, mask
+
+
 def solve_hyperbolic(n1: int, n2: int) -> BvpReport:
     """Collocation solve of the substituted 2-D problem on an (n1, n2) grid.
 
     Assembles the lifted operator
 
-        K = (I - X^2 - Y^2)(Dx^2 - Dy^2 + Y Dx) - 4 X Dx + 4 Y Dy - 2 X Y
+        K = (1 - x^2 - y^2)(Dx^2 - Dy^2 + y Dx) - 4x Dx + 4y Dy - 2xy
 
     on uniform partitions of [-1, 1]^2, solves K v = f at the nodes, and
-    reconstructs u = (I - X^2 - Y^2) v.  The full-rank guarantee for pure
+    reconstructs u = (1 - x^2 - y^2) v.  The full-rank guarantee for pure
     derivative polynomials does not extend to these variable coefficients, so
     the solve reports its condition estimate and fails loudly only on exact
     pivot breakdown.
@@ -165,37 +184,19 @@ def solve_hyperbolic(n1: int, n2: int) -> BvpReport:
     if not (4 <= n1 <= 20 and 4 <= n2 <= 20):
         raise ValueError(f"n1, n2 must lie in 4..20, got ({n1}, {n2})")
     ps = [uniform_partition(-1.0, 1.0, n1), uniform_partition(-1.0, 1.0, n2)]
-    space = space_of(ps)
-    dx = realize(lifted_diff(1, ps))
-    dy = realize(lifted_diff(2, ps))
-    xm = realize(lifted_mult(1, ps))
-    ym = realize(lifted_mult(2, ps))
-    eye = realize(lifted_identity(space))
-    mask = eye - xm @ xm - ym @ ym
-    k = mask @ (dx @ dx - dy @ dy + ym @ dx) - 4.0 * xm @ dx + 4.0 * ym @ dy - 2.0 * xm @ ym
+    k, mask = _hyperbolic_system(ps)
     rhs = grid_eval(hyperbolic_rhs, ps)
     v, rcond = lu_solve(k, rhs)
-    u = mask @ v
+    u = mask * v
     exact = grid_eval(_exact_hyperbolic, ps)
     e_sum, e_max, e_avg = error_metrics(u, exact)
-    return BvpReport((n1, n2), v, u, e_sum, e_max, e_avg, rcond)
+    return BvpReport(tuple(ps), v, u, e_sum, e_max, e_avg, rcond)
 
 
-def format_surface(report: BvpReport, ps: list[Partition]) -> str:
-    """Gridded ``x y u`` triples, blank line between constant-y blocks."""
-    n1, n2 = ps[0].n, ps[1].n
-    if report.u_sigma.size != (n1 + 1) * (n2 + 1):
-        raise ValueError("report does not match the given partitions")
-    blocks = []
-    for j in range(n2 + 1):
-        rows = []
-        for i in range(n1 + 1):
-            u = report.u_sigma[j * (n1 + 1) + i]
-            rows.append(f"{ps[0].nodes[i]:.16e} {ps[1].nodes[j]:.16e} {u:.16e}")
-        blocks.append("\n".join(rows))
+def format_surface(report: BvpReport) -> str:
+    """Gridded ``x y u`` triples of a 2-D run, blank line between constant-y blocks."""
+    px, py = report.partitions
+    grid = report.u_sigma.reshape(py.n + 1, px.n + 1)
+    blocks = ["\n".join(f"{x:.16e} {y:.16e} {u:.16e}" for x, u in zip(px.nodes, row))
+              for y, row in zip(py.nodes, grid)]
     return "\n\n".join(blocks) + "\n"
-
-
-def write_surface(path, report: BvpReport, ps: list[Partition]) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_surface(report, ps))

@@ -207,10 +207,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 0, "\n".join(lines) + "\n"
 
     if config.command == "plot-figure1":
-        n1, n2 = _resolve_dims(config)
-        ps = [uniform_partition(-1.0, 1.0, n1), uniform_partition(-1.0, 1.0, n2)]
-        report = bvp.solve_hyperbolic(n1, n2)
-        return 0, bvp.format_surface(report, ps)
+        return 0, bvp.format_surface(bvp.solve_hyperbolic(*_resolve_dims(config)))
 
     raise ConfigError(f"unknown command {config.command!r}")
 

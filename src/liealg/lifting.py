@@ -27,8 +27,8 @@ from math import prod
 
 import numpy as np
 
-from .linalg import as_matrix, numerical_rank
-from .operators import diff_matrix, mult_matrix
+from .linalg import as_matrix
+from .operators import _scale_rows, diff_matrix
 from .partitions import Partition
 
 __all__ = [
@@ -37,15 +37,11 @@ __all__ = [
     "star",
     "unstar",
     "space_of",
-    "lifted_identity",
     "lifted_diff",
-    "lifted_mult",
     "realize",
-    "lifted_compose",
     "grid_eval",
     "full_rank_predicate",
     "poly_operator_matrix",
-    "realized_rank",
 ]
 
 
@@ -128,27 +124,14 @@ def space_of(ps: list[Partition]) -> MultiIndexSpace:
     return MultiIndexSpace(tuple(p.n for p in ps))
 
 
-def lifted_identity(space: MultiIndexSpace) -> LiftedOperator:
-    return LiftedOperator(space, (None,) * space.d)
-
-
-def _lifted_single(alpha: int, ps: list[Partition], build) -> LiftedOperator:
+def lifted_diff(alpha: int, ps: list[Partition]) -> LiftedOperator:
+    """Differentiation along dimension ``alpha`` (1-based), identity elsewhere."""
     space = space_of(ps)
     if not 1 <= alpha <= space.d:
         raise ValueError(f"dimension index {alpha} out of range 1..{space.d}")
     factors = [None] * space.d
-    factors[alpha - 1] = build(ps[alpha - 1])
+    factors[alpha - 1] = diff_matrix(ps[alpha - 1])
     return LiftedOperator(space, tuple(factors))
-
-
-def lifted_diff(alpha: int, ps: list[Partition]) -> LiftedOperator:
-    """Differentiation along dimension ``alpha`` (1-based), identity elsewhere."""
-    return _lifted_single(alpha, ps, diff_matrix)
-
-
-def lifted_mult(alpha: int, ps: list[Partition]) -> LiftedOperator:
-    """Multiplication by the coordinate of dimension ``alpha``, identity elsewhere."""
-    return _lifted_single(alpha, ps, mult_matrix)
 
 
 def realize(op: LiftedOperator) -> np.ndarray:
@@ -159,36 +142,29 @@ def realize(op: LiftedOperator) -> np.ndarray:
     return out
 
 
-def lifted_compose(a: LiftedOperator, b: LiftedOperator) -> LiftedOperator:
-    """Factor-wise product; realizes to realize(a) @ realize(b)."""
-    if a.space != b.space:
-        raise ValueError(f"space mismatch: {a.space.dims} vs {b.space.dims}")
-    factors = []
-    for fa, fb in zip(a.factors, b.factors):
-        if fa is None:
-            factors.append(fb)
-        elif fb is None:
-            factors.append(fa)
-        else:
-            factors.append(fa @ fb)
-    return LiftedOperator(a.space, tuple(factors))
+def _grid_coordinates(ps: list[Partition]) -> list[np.ndarray]:
+    """Per-dimension coordinate vectors of all grid nodes, in star order."""
+    grids = np.meshgrid(*(p.nodes for p in reversed(ps)), indexing="ij")
+    return [g.ravel() for g in reversed(grids)]
 
 
 def grid_eval(f, ps: list[Partition]) -> np.ndarray:
-    """Vector of f at all grid nodes, in star order (dimension 1 fastest)."""
-    space = space_of(ps)
-    out = np.empty(space.total)
-    for k in range(space.total):
-        index = unstar(k + 1, space)
-        out[k] = f(*(p.nodes[i] for p, i in zip(ps, index)))
-    return out
+    """Vector of f at all grid nodes, in star order (dimension 1 fastest).
+
+    ``f`` is called once, on the coordinate vectors of all nodes, so it must
+    accept arrays; a scalar result is broadcast to every node.
+    """
+    coords = _grid_coordinates(ps)
+    return np.broadcast_to(f(*coords), coords[0].shape).astype(float)
 
 
 def poly_operator_matrix(terms, ps: list[Partition]) -> np.ndarray:
     """Realized matrix of a polynomial in the d lifted differentiation operators.
 
     ``terms`` is a list of ``(coefficient, exponents)`` pairs, ``exponents``
-    giving the per-dimension derivative orders of one monomial.
+    giving the per-dimension derivative orders of one monomial.  The
+    coefficient is a scalar or a vector of grid values in star order; each
+    term adds ``diag(c) @ kron(Z_d^{k_d}, ..., Z_1^{k_1})``, in the given order.
     """
     space = space_of(ps)
     zs = [diff_matrix(p) for p in ps]
@@ -201,7 +177,7 @@ def poly_operator_matrix(terms, ps: list[Partition]) -> np.ndarray:
             None if e == 0 else np.linalg.matrix_power(z, e)
             for z, e in zip(zs, exponents)
         )
-        out += coeff * realize(LiftedOperator(space, factors))
+        out += _scale_rows(coeff, realize(LiftedOperator(space, factors)))
     return out
 
 
@@ -217,8 +193,3 @@ def full_rank_predicate(terms, ps: list[Partition]) -> bool:
     constant = sum(coeff for coeff, exponents in terms
                    if all(int(e) == 0 for e in exponents))
     return constant != 0.0
-
-
-def realized_rank(terms, ps: list[Partition], rel_tol: float = 1e-8) -> int:
-    """Numerical rank of the realized polynomial operator (cross-check helper)."""
-    return numerical_rank(poly_operator_matrix(terms, ps), rel_tol)

@@ -1,4 +1,4 @@
-"""Dense real matrix arithmetic: products, Kronecker products, pivoted LU, numerical rank."""
+"""Dense real matrix arithmetic: Kronecker products, pivoted LU, numerical rank."""
 
 from __future__ import annotations
 
@@ -7,13 +7,11 @@ import numpy as np
 __all__ = [
     "SingularSystemError",
     "as_matrix",
-    "mat_mul",
     "kron",
     "lu_factor",
     "lu_solve",
     "numerical_rank",
     "format_matrix",
-    "write_matrix",
 ]
 
 
@@ -47,15 +45,6 @@ def as_vector(a) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValueError("vector entries must be finite")
     return m
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def kron(a, b) -> np.ndarray:
@@ -141,8 +130,3 @@ def format_matrix(a) -> str:
     """Text dump: one row per line, entries space-separated, 17 significant digits."""
     a = as_matrix(a)
     return "\n".join(" ".join(f"{v:.16e}" for v in row) for row in a)
-
-
-def write_matrix(path, a) -> None:
-    with open(path, "w") as fh:
-        fh.write(format_matrix(a) + "\n")

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .partitions import Partition, pi_weights
 
 __all__ = [
-    "OperatorPoly1D",
     "diff_matrix",
     "mult_matrix",
     "apply_operator_poly",
@@ -29,13 +25,20 @@ def diff_matrix(p: Partition) -> np.ndarray:
     never by numerically differentiating interpolants, so results are
     bit-reproducible.  Applied to nodal values of a polynomial of degree <= n
     it returns the exact nodal derivatives; its (n+1)-th power vanishes.
+
+    Raises ``ValueError`` when the pi-weights leave the float64 range and an
+    entry comes out infinite or NaN (e.g. 1001 uniform nodes on [-1, 1]).
     """
     x = p.nodes
-    pi = pi_weights(p)
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    z = (pi[:, None] / pi[None, :]) / diff
-    np.fill_diagonal(z, (1.0 / diff).sum(axis=1))
+    with np.errstate(all="ignore"):
+        pi = pi_weights(p)
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, np.inf)
+        z = (pi[:, None] / pi[None, :]) / diff
+        np.fill_diagonal(z, (1.0 / diff).sum(axis=1))
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"differentiation matrix of {x.size} nodes is not finite: "
+                         "the pi-weights overflow or underflow float64")
     return z
 
 
@@ -44,46 +47,30 @@ def mult_matrix(p: Partition) -> np.ndarray:
     return np.diag(p.nodes)
 
 
-@dataclass(frozen=True)
-class OperatorPoly1D:
-    """Formal sum of terms coeff_k(x) * (d/dx)^k with polynomial coefficients.
-
-    ``terms`` holds pairs ``(coeffs, order)`` where ``coeffs`` are the
-    ascending-power coefficients of the polynomial multiplying the
-    ``order``-th derivative.
-    """
-
-    terms: tuple[tuple[tuple[float, ...], int], ...]
-
-    def __post_init__(self):
-        terms = tuple((tuple(float(c) for c in coeffs), int(order))
-                      for coeffs, order in self.terms)
-        if not terms:
-            raise ValueError("operator needs at least one term")
-        orders = [order for _, order in terms]
-        if len(set(orders)) != len(orders):
-            raise ValueError(f"derivative orders must be distinct, got {orders}")
-        if any(order < 0 for order in orders):
-            raise ValueError("derivative orders must be non-negative")
-        for coeffs, order in terms:
-            if not coeffs or not any(c != 0.0 for c in coeffs):
-                raise ValueError(f"coefficient polynomial of order-{order} term is zero")
-        object.__setattr__(self, "terms", terms)
+def _scale_rows(coeff, m: np.ndarray) -> np.ndarray:
+    """``diag(coeff) @ m`` for a vector coefficient, ``coeff * m`` for a scalar."""
+    coeff = np.asarray(coeff, dtype=float)
+    if coeff.ndim == 0:
+        return coeff * m
+    if coeff.shape != (m.shape[0],):
+        raise ValueError(f"coefficient shape {coeff.shape} does not match {m.shape[0]} rows")
+    return coeff[:, None] * m
 
 
-def apply_operator_poly(op: OperatorPoly1D, p: Partition) -> np.ndarray:
-    """Collocation matrix sum_k diag(coeff_k at nodes) @ Z^k (with Z^0 = I).
+def apply_operator_poly(terms, p: Partition) -> np.ndarray:
+    """Collocation matrix sum_k diag(c_k) @ Z^k (with Z^0 = I).
 
-    Coefficients are evaluated at the nodes by Horner's rule.  No
-    invertibility is implied: non-constant coefficients can destroy full
-    rank, so callers should watch the solver's condition estimate.
+    ``terms`` is a list of ``(c_k, k)`` pairs, ``c_k`` a scalar or the nodal
+    values of the coefficient of the k-th derivative; terms are summed in the
+    given order.  No invertibility is implied: non-constant coefficients can
+    destroy full rank, so callers should watch the solver's condition estimate.
     """
     z = diff_matrix(p)
-    size = p.n + 1
-    out = np.zeros((size, size))
-    for coeffs, order in sorted(op.terms, key=lambda t: t[1]):
-        vals = npoly.polyval(p.nodes, coeffs)
-        out += np.diag(vals) @ np.linalg.matrix_power(z, order)
+    out = np.zeros((p.n + 1, p.n + 1))
+    for coeff, order in terms:
+        if order < 0:
+            raise ValueError(f"derivative order must be non-negative, got {order}")
+        out += _scale_rows(coeff, np.linalg.matrix_power(z, order))
     return out
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "uniform_partition",
     "jittered_partition",
     "pi_weights",
-    "lagrange_eval",
     "lagrange_basis_row",
     "interpolate_1d",
     "tensor_interpolate",
@@ -95,15 +94,6 @@ def pi_weights(p: Partition) -> np.ndarray:
     diff = x[:, None] - x[None, :]
     np.fill_diagonal(diff, 1.0)
     return diff.prod(axis=1)
-
-
-def lagrange_eval(p: Partition, k: int, x: float) -> float:
-    """Value of the basis polynomial l_k at x."""
-    if not 0 <= k <= p.n:
-        raise ValueError(f"basis index {k} out of range 0..{p.n}")
-    nodes = p.nodes
-    others = np.delete(nodes, k)
-    return float(np.prod(x - others) / np.prod(nodes[k] - others))
 
 
 def lagrange_basis_row(p: Partition, x: float) -> np.ndarray:

@@ -56,6 +56,13 @@ class TestRankLadder:
         reports = audit_rank_ladder(diff_matrix(P01))
         assert [r.observed for r in reports] == [2, 1, 0]
 
+    def test_case_name_prefix(self):
+        reports = audit_rank_ladder(JORDAN2, prefix="rank_ladder_jordan2")
+        assert [r.case_name for r in reports] == [
+            "rank_ladder_jordan2[k=0]", "rank_ladder_jordan2[k=1]", "rank_ladder_jordan2[k=2]"]
+        names = [r.case_name for r in audit_diff_rank(P012, prefix="diff_random007_")]
+        assert names == ["diff_random007_rank[n=2]", "diff_random007_nilpotent[n=2]"]
+
     def test_rejects_full_rank_input(self):
         with pytest.raises(ValueError, match="nilpotent|rank"):
             audit_rank_ladder(np.eye(3))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liealg.bvp import (
+    _hyperbolic_system,
     two_point_coefficients,
     error_metrics,
     format_surface,
@@ -14,6 +15,7 @@ from liealg.bvp import (
     solve_two_point,
     solve_hyperbolic,
 )
+from liealg.lifting import lifted_diff, realize
 from liealg.partitions import uniform_partition
 
 
@@ -169,6 +171,26 @@ class TestSolveHyperbolic:
         assert report.error_avg == pytest.approx(2.56e-4, rel=0.2)
         assert 0.0 < report.rcond < 1e-6
 
+    @pytest.mark.parametrize("n1, n2", [(4, 4), (10, 10), (12, 7), (15, 15)])
+    def test_assembly_matches_dense_reference(self, n1, n2):
+        # the operator as products of dense lifted matrices, the way it reads
+        ps = [uniform_partition(-1.0, 1.0, n1), uniform_partition(-1.0, 1.0, n2)]
+        dx, dy = realize(lifted_diff(1, ps)), realize(lifted_diff(2, ps))
+        xm = np.diag(np.tile(ps[0].nodes, n2 + 1))
+        ym = np.diag(np.repeat(ps[1].nodes, n1 + 1))
+        mask = np.eye(xm.shape[0]) - xm @ xm - ym @ ym
+        expected = (mask @ (dx @ dx - dy @ dy + ym @ dx) - 4.0 * xm @ dx + 4.0 * ym @ dy
+                    - 2.0 * xm @ ym)
+        k, mask_vector = _hyperbolic_system(ps)
+        scale = np.abs(expected).max()
+        assert np.abs(k - expected).max() <= 1e-13 * scale
+        np.testing.assert_array_equal(np.diag(mask_vector), mask)
+
+    def test_report_carries_partitions(self):
+        report = solve_hyperbolic(6, 4)
+        assert [p.n for p in report.partitions] == [6, 4]
+        np.testing.assert_array_equal(report.partitions[1].nodes, np.linspace(-1.0, 1.0, 5))
+
     def test_range_guard(self):
         with pytest.raises(ValueError, match="4..20"):
             solve_hyperbolic(3, 10)
@@ -199,8 +221,7 @@ class TestErrorMetrics:
 
 def test_surface_format_blocks():
     report = solve_hyperbolic(4, 4)
-    ps = [uniform_partition(-1, 1, 4), uniform_partition(-1, 1, 4)]
-    text = format_surface(report, ps)
+    text = format_surface(report)
     blocks = text.strip().split("\n\n")
     assert len(blocks) == 5
     first = blocks[0].splitlines()

@@ -33,6 +33,14 @@ class TestDiffmat:
         got = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
         np.testing.assert_array_equal(got, EXPECTED_Z012)
 
+    def test_non_finite_matrix_is_an_error(self, capsys, tmp_path):
+        # 1001 uniform nodes on [-1, 1] overflow the pi-weights
+        path = tmp_path / "nodes.txt"
+        path.write_text("".join(f"{x:.17g}\n" for x in np.linspace(-1.0, 1.0, 1001)))
+        status, out, err = run_cli(capsys, "diffmat", "--nodes", str(path))
+        assert status == 1 and out == ""
+        assert err.startswith("liealg: differentiation matrix of 1001 nodes is not finite")
+
     def test_uniform_flags(self, capsys):
         status, out, _ = run_cli(capsys, "diffmat", "--a", "0", "--b", "1", "--n", "1")
         assert status == 0

@@ -8,13 +8,9 @@ from liealg.lifting import (
     MultiIndexSpace,
     full_rank_predicate,
     grid_eval,
-    lifted_compose,
     lifted_diff,
-    lifted_identity,
-    lifted_mult,
     poly_operator_matrix,
     realize,
-    realized_rank,
     space_of,
     star,
     unstar,
@@ -105,7 +101,7 @@ class TestRealize:
 
     def test_identity(self):
         space = MultiIndexSpace((2, 3))
-        np.testing.assert_array_equal(realize(lifted_identity(space)), np.eye(12))
+        np.testing.assert_array_equal(realize(LiftedOperator(space, (None, None))), np.eye(12))
 
     def test_single_dimension_reduces_to_diff_matrix(self):
         p = Partition(np.array([0.0, 0.5, 2.0]))
@@ -122,10 +118,14 @@ class TestRealize:
             np.testing.assert_allclose(realize(op), entrywise_realize(op), atol=1e-15)
 
     def test_mult_factors(self):
+        # multiplying by a coordinate is the constant term with that
+        # coordinate's grid vector as row-scaling coefficient
         ps = [uniform_partition(0, 2, 2), uniform_partition(-1, 1, 1)]
-        got = realize(lifted_mult(1, ps))
+        x = grid_eval(lambda x, y: x, ps)
+        got = poly_operator_matrix([(x, (0, 0))], ps)
         np.testing.assert_array_equal(got, np.diag([0.0, 1.0, 2.0, 0.0, 1.0, 2.0]))
-        got = realize(lifted_mult(2, ps))
+        y = grid_eval(lambda x, y: y, ps)
+        got = poly_operator_matrix([(y, (0, 0))], ps)
         np.testing.assert_array_equal(got, np.diag([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0]))
 
     def test_alpha_range(self):
@@ -142,11 +142,10 @@ class TestRealize:
 
 class TestCompose:
     def test_power_in_one_slot(self):
-        w1 = lifted_diff(1, UNIT_SQUARE)
-        squared = lifted_compose(w1, w1)
-        np.testing.assert_array_equal(squared.factors[0], Z01 @ Z01)
-        assert squared.factors[1] is None
-        np.testing.assert_allclose(realize(squared), realize(w1) @ realize(w1), atol=1e-15)
+        w1 = realize(lifted_diff(1, UNIT_SQUARE))
+        squared = poly_operator_matrix([(1.0, (2, 0))], UNIT_SQUARE)
+        np.testing.assert_array_equal(squared, np.kron(np.eye(2), Z01 @ Z01))
+        np.testing.assert_allclose(squared, w1 @ w1, atol=1e-15)
 
     def test_disjoint_slots_commute_exactly(self):
         ps = [jittered_partition(np.random.default_rng(1), 3),
@@ -154,30 +153,37 @@ class TestCompose:
         a, b = realize(lifted_diff(1, ps)), realize(lifted_diff(2, ps))
         assert np.abs(a @ b - b @ a).max() == 0.0
 
-    def test_identity_is_neutral(self):
-        ps = UNIT_SQUARE
-        w = lifted_diff(2, ps)
-        eye = lifted_identity(w.space)
-        for composed in (lifted_compose(w, eye), lifted_compose(eye, w)):
-            np.testing.assert_array_equal(realize(composed), realize(w))
-
     def test_realizes_to_matrix_product(self):
+        # a monomial term realizes to the product of the lifted derivative powers
         rng = np.random.default_rng(3)
-        space = MultiIndexSpace((2, 2, 1))
-        ops = []
-        for _ in range(2):
-            factors = tuple(
-                None if rng.uniform() < 0.3 else rng.standard_normal((n + 1, n + 1))
-                for n in space.dims)
-            ops.append(LiftedOperator(space, factors))
-        left = realize(lifted_compose(ops[0], ops[1]))
-        right = realize(ops[0]) @ realize(ops[1])
-        np.testing.assert_allclose(left, right, atol=1e-12)
+        ps = [jittered_partition(rng, n) for n in (2, 2, 1)]
+        w = [realize(lifted_diff(alpha, ps)) for alpha in (1, 2, 3)]
+        for exponents in ((1, 1, 0), (2, 0, 1), (1, 2, 1)):
+            right = np.eye(space_of(ps).total)
+            for wa, e in zip(w, exponents):
+                right = right @ np.linalg.matrix_power(wa, e)
+            left = poly_operator_matrix([(1.0, exponents)], ps)
+            np.testing.assert_allclose(left, right, atol=1e-12 * np.abs(right).max())
 
-    def test_space_mismatch(self):
-        with pytest.raises(ValueError, match="space mismatch"):
-            lifted_compose(lifted_identity(MultiIndexSpace((2, 2))),
-                           lifted_identity(MultiIndexSpace((2, 3))))
+
+class TestPolyOperatorMatrix:
+    def test_vector_coefficients_scale_rows(self):
+        rng = np.random.default_rng(11)
+        ps = [jittered_partition(rng, 3), jittered_partition(rng, 2)]
+        total = space_of(ps).total
+        terms = [(rng.standard_normal(total), (1, 0)), (2.5, (0, 2)),
+                 (rng.standard_normal(total), (1, 1))]
+        expected = np.zeros((total, total))
+        for coeff, (k1, k2) in terms:
+            factor = np.kron(np.linalg.matrix_power(diff_matrix(ps[1]), k2),
+                             np.linalg.matrix_power(diff_matrix(ps[0]), k1))
+            expected += np.diag(np.broadcast_to(coeff, total)) @ factor
+        np.testing.assert_allclose(poly_operator_matrix(terms, ps), expected,
+                                   rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+
+    def test_coefficient_length_check(self):
+        with pytest.raises(ValueError, match="coefficient shape"):
+            poly_operator_matrix([(np.ones(3), (1, 0))], UNIT_SQUARE)
 
 
 class TestGridEval:
@@ -189,6 +195,20 @@ class TestGridEval:
             grid_eval(lambda x, y: x, UNIT_SQUARE), [0.0, 1.0, 0.0, 1.0])
         np.testing.assert_array_equal(
             grid_eval(lambda x, y: y, UNIT_SQUARE), [0.0, 0.0, 1.0, 1.0])
+
+    def test_matches_per_point_loop_in_3d(self):
+        rng = np.random.default_rng(12)
+        ps = [jittered_partition(rng, n) for n in (3, 1, 2)]
+        space = space_of(ps)
+
+        def f(x, y, z):
+            return np.sin(x) * y + z**3 - x * z
+
+        expected = np.empty(space.total)
+        for k in range(space.total):
+            index = unstar(k + 1, space)
+            expected[k] = f(*(p.nodes[i] for p, i in zip(ps, index)))
+        np.testing.assert_array_equal(grid_eval(f, ps), expected)
 
 
 class TestDerivativeExactness:
@@ -249,19 +269,19 @@ class TestFullRankPredicate:
         ps = [uniform_partition(0, 1, 3), uniform_partition(0, 1, 3)]
         terms = [(1.0, (0, 0)), (1.0, (1, 0))]
         assert full_rank_predicate(terms, ps)
-        assert realized_rank(terms, ps) == space_of(ps).total
+        assert numerical_rank(poly_operator_matrix(terms, ps)) == space_of(ps).total
 
     def test_pure_derivative_is_deficient(self):
         ps = [uniform_partition(0, 1, 3), uniform_partition(0, 1, 3)]
         terms = [(1.0, (1, 0))]
         assert not full_rank_predicate(terms, ps)
-        assert realized_rank(terms, ps) < space_of(ps).total
+        assert numerical_rank(poly_operator_matrix(terms, ps)) < space_of(ps).total
 
     def test_constant_plus_mixed_term(self):
         ps = [uniform_partition(0, 1, 3), uniform_partition(0, 1, 3)]
         terms = [(5.0, (0, 0)), (1.0, (1, 1))]
         assert full_rank_predicate(terms, ps)
-        assert realized_rank(terms, ps) == space_of(ps).total
+        assert numerical_rank(poly_operator_matrix(terms, ps)) == space_of(ps).total
 
     def test_cancelling_constants(self):
         ps = [uniform_partition(0, 1, 2), uniform_partition(0, 1, 2)]

@@ -8,14 +8,10 @@ from liealg.linalg import (
     format_matrix,
     kron,
     lu_solve,
-    mat_mul,
     numerical_rank,
 )
 from liealg.operators import diff_matrix
 from liealg.partitions import Partition
-
-# the 2x2 nilpotent matrix used by the variable-coefficient counterexample
-NILPOTENT_2X2 = np.array([[-2.0, -1.0], [4.0, 2.0]])
 
 
 def small_matrix(rows, cols):
@@ -26,27 +22,6 @@ def small_matrix(rows, cols):
 
 
 dims = st.integers(min_value=1, max_value=3)
-
-
-class TestMatMul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(mat_mul(np.eye(2), a), a)
-
-    def test_two_node_diff_matrix_squares_to_zero(self):
-        z = np.array([[-1.0, 1.0], [-1.0, 1.0]])
-        np.testing.assert_array_equal(mat_mul(z, z), np.zeros((2, 2)))
-
-    def test_counterexample_matrix_squares_to_zero(self):
-        np.testing.assert_array_equal(mat_mul(NILPOTENT_2X2, NILPOTENT_2X2), np.zeros((2, 2)))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            mat_mul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            mat_mul(np.array([[np.nan]]), np.array([[1.0]]))
 
 
 class TestKron:
@@ -91,8 +66,8 @@ class TestKron:
         c = data.draw(small_matrix(n, p))
         b = data.draw(small_matrix(r, s))
         d = data.draw(small_matrix(s, t))
-        left = mat_mul(kron(a, b), kron(c, d))
-        right = kron(mat_mul(a, c), mat_mul(b, d))
+        left = kron(a, b) @ kron(c, d)
+        right = kron(a @ c, b @ d)
         scale = max(np.abs(right).max(), 1.0)
         np.testing.assert_allclose(left, right, atol=1e-12 * scale)
 

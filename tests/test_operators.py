@@ -1,15 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from liealg.linalg import numerical_rank
 from liealg.operators import (
-    OperatorPoly1D,
     apply_operator_poly,
     diff_matrix,
     differentiate_values,
     mult_matrix,
 )
-from liealg.partitions import Partition, jittered_partition, lagrange_eval, pi_weights
+from liealg.partitions import (
+    Partition,
+    jittered_partition,
+    lagrange_basis_row,
+    pi_weights,
+    uniform_partition,
+)
 
 P01 = Partition(np.array([0.0, 1.0]))
 P012 = Partition(np.array([0.0, 1.0, 2.0]))
@@ -85,7 +92,7 @@ class TestDiffMatrix:
 
         for x in rng.uniform(0.0, 1.0, 50):
             for k in range(p.n + 1):
-                via_matrix = sum(z[j, k] * lagrange_eval(p, j, x) for j in range(p.n + 1))
+                via_matrix = lagrange_basis_row(p, x) @ z[:, k]
                 assert abs(basis_derivative(k, x) - via_matrix) <= 1e-10
 
 
@@ -102,29 +109,43 @@ class TestMultMatrix:
 
 class TestOperatorPoly:
     def test_validation(self):
-        with pytest.raises(ValueError, match="at least one term"):
-            OperatorPoly1D(())
-        with pytest.raises(ValueError, match="distinct"):
-            OperatorPoly1D((((1.0,), 1), ((2.0,), 1)))
-        with pytest.raises(ValueError, match="zero"):
-            OperatorPoly1D((((0.0, 0.0), 0),))
         with pytest.raises(ValueError, match="non-negative"):
-            OperatorPoly1D((((1.0,), -1),))
+            apply_operator_poly([(1.0, -1)], P012)
+        with pytest.raises(ValueError, match="coefficient shape"):
+            apply_operator_poly([(np.ones(2), 1)], P012)
 
     def test_second_derivative_plus_identity(self):
-        op = OperatorPoly1D((((1.0,), 2), ((1.0,), 0)))
         for p in (P012, jittered_partition(np.random.default_rng(8), 5)):
             z = diff_matrix(p)
-            np.testing.assert_allclose(
-                apply_operator_poly(op, p), z @ z + np.eye(p.n + 1), rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(apply_operator_poly([(1.0, 2), (1.0, 0)], p),
+                                       z @ z + np.eye(p.n + 1), rtol=1e-14, atol=1e-14)
 
     def test_single_derivative_term(self):
-        op = OperatorPoly1D((((1.0,), 1),))
-        np.testing.assert_allclose(apply_operator_poly(op, P01), Z01, atol=1e-15)
+        np.testing.assert_allclose(apply_operator_poly([(1.0, 1)], P01), Z01, atol=1e-15)
 
     def test_coordinate_coefficient_reduces_to_mult_matrix(self):
-        op = OperatorPoly1D((((0.0, 1.0), 0),))
-        np.testing.assert_array_equal(apply_operator_poly(op, P012), mult_matrix(P012))
+        np.testing.assert_array_equal(apply_operator_poly([(P012.nodes, 0)], P012),
+                                      mult_matrix(P012))
+
+    def test_matches_diagonal_times_power_reference(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 4, 9):
+            p = jittered_partition(rng, n)
+            z = diff_matrix(p)
+            terms = [(rng.standard_normal(n + 1), k) for k in range(min(n, 3) + 1)]
+            expected = sum(np.diag(c) @ np.linalg.matrix_power(z, k) for c, k in terms)
+            got = apply_operator_poly(terms, p)
+            np.testing.assert_allclose(got, expected, rtol=1e-13,
+                                       atol=1e-13 * np.abs(expected).max())
+
+
+class TestNonFiniteDiffMatrix:
+    def test_overflowing_pi_weights_raise(self):
+        # 1001 uniform nodes on [-1, 1]: the pi-weights overflow float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                diff_matrix(uniform_partition(-1.0, 1.0, 1000))
 
 
 class TestDifferentiateValues:

@@ -9,7 +9,7 @@ from liealg.partitions import (
     Partition,
     interpolate_1d,
     jittered_partition,
-    lagrange_eval,
+    lagrange_basis_row,
     pi_weights,
     read_partition,
     tensor_interpolate,
@@ -79,25 +79,18 @@ class TestPiWeights:
 class TestLagrangeEval:
     def test_cardinal_property(self):
         p = Partition(np.array([0.0, 1.0, 2.0]))
-        for k in range(3):
-            for j in range(3):
-                expected = 1.0 if j == k else 0.0
-                assert lagrange_eval(p, k, p.nodes[j]) == pytest.approx(expected, abs=1e-12)
+        for j in range(3):
+            np.testing.assert_allclose(lagrange_basis_row(p, p.nodes[j]), np.eye(3)[j],
+                                       atol=1e-12)
 
     def test_midpoint_value(self):
         # l_1(0.5) = 0.5 * (0.5 - 2) / pi_1 = 0.75
         p = Partition(np.array([0.0, 1.0, 2.0]))
-        assert lagrange_eval(p, 1, 0.5) == pytest.approx(0.75)
-
-    def test_index_range(self):
-        p = Partition(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="out of range"):
-            lagrange_eval(p, 2, 0.5)
+        assert lagrange_basis_row(p, 0.5)[1] == pytest.approx(0.75)
 
     def test_partition_of_unity_fixed_point(self):
         p = Partition(np.array([0.0, 0.3, 1.1, 2.0]))
-        total = sum(lagrange_eval(p, k, 0.37) for k in range(4))
-        assert total == pytest.approx(1.0, abs=1e-11)
+        assert lagrange_basis_row(p, 0.37).sum() == pytest.approx(1.0, abs=1e-11)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
@@ -105,8 +98,7 @@ class TestLagrangeEval:
         rng = np.random.default_rng(draw)
         p = jittered_partition(rng, int(rng.integers(1, 11)))
         x = rng.uniform(p.a, p.b)
-        total = sum(lagrange_eval(p, k, x) for k in range(p.n + 1))
-        assert total == pytest.approx(1.0, abs=1e-11)
+        assert lagrange_basis_row(p, x).sum() == pytest.approx(1.0, abs=1e-11)
 
 
 class TestInterpolate1D:
