@@ -19,6 +19,10 @@ COMMANDS = ("diffmat", "rank-audit", "table1", "table3", "plot-figure1")
 MAX_N = 20
 MAX_TOTAL = 1024
 TABLE_HEADER = "method,n,E,Emax,Eavg,rcond"
+# a 2-D solve whose rcond is below machine epsilon is reported, and the
+# command exits with this status, since its errors are rounding noise
+SINGULAR_RCOND = float(np.finfo(float).eps)
+SINGULAR_STATUS = 3
 
 
 class ConfigError(Exception):
@@ -177,8 +181,23 @@ def _table_row(method: str, label: str, report: bvp.BvpReport) -> str:
             f"{report.error_avg:.4e},{rcond}")
 
 
+def _solve_2d(n1: int, n2: int) -> tuple[bvp.BvpReport, int]:
+    """2-D solve plus its exit status; warns on stderr when numerically singular."""
+    report = bvp.solve_hyperbolic(n1, n2)
+    if report.rcond < SINGULAR_RCOND:
+        print(f"liealg: warning: {n1}x{n2} operator is numerically singular "
+              f"(rcond {report.rcond:.4e} < {SINGULAR_RCOND:.4e}); its errors are "
+              "rounding noise", file=sys.stderr)
+        return report, SINGULAR_STATUS
+    return report, 0
+
+
 def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one command; returns (exit status, output text)."""
+    """Execute one command; returns (exit status, output text).
+
+    A 2-D solve below ``SINGULAR_RCOND`` still returns its output, with a
+    warning on stderr and status ``SINGULAR_STATUS``.
+    """
     if config.command == "diffmat":
         return 0, format_matrix(diff_matrix(_partition_from_config(config))) + "\n"
 
@@ -202,12 +221,16 @@ def run(config: RunConfig) -> tuple[int, str]:
         else:
             cases = [_resolve_dims(config)]
         lines = [TABLE_HEADER]
+        status = 0
         for n1, n2 in cases:
-            lines.append(_table_row("lie", f"{n1}x{n2}", bvp.solve_hyperbolic(n1, n2)))
-        return 0, "\n".join(lines) + "\n"
+            report, case_status = _solve_2d(n1, n2)
+            status = max(status, case_status)
+            lines.append(_table_row("lie", f"{n1}x{n2}", report))
+        return status, "\n".join(lines) + "\n"
 
     if config.command == "plot-figure1":
-        return 0, bvp.format_surface(bvp.solve_hyperbolic(*_resolve_dims(config)))
+        report, status = _solve_2d(*_resolve_dims(config))
+        return status, bvp.format_surface(report)
 
     raise ConfigError(f"unknown command {config.command!r}")
 

@@ -134,12 +134,26 @@ def lifted_diff(alpha: int, ps: list[Partition]) -> LiftedOperator:
     return LiftedOperator(space, tuple(factors))
 
 
+def _kron(factors) -> np.ndarray:
+    """kron(F_d, ..., F_1) of per-dimension factors (F_1, ..., F_d), by broadcasting.
+
+    Each step forms the same entrywise products, in the same order, as a chain
+    of ``np.kron`` calls, so the result is bit-identical (signed zeros
+    included) without ``np.kron``'s generic N-d overhead on small factors.
+    """
+    out = factors[-1]
+    for f in reversed(factors[:-1]):
+        shape = (out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(shape)
+    return out
+
+
 def realize(op: LiftedOperator) -> np.ndarray:
     """N x N matrix of a lifted operator: kron of the factors in reversed order."""
-    out = np.array([[1.0]])
-    for size, f in zip(reversed(op.space.sizes), reversed(op.factors)):
-        out = np.kron(out, np.eye(size) if f is None else f)
-    return out
+    factors = [np.eye(size) if f is None else f
+               for size, f in zip(op.space.sizes, op.factors)]
+    out = _kron(factors)
+    return out.copy() if len(factors) == 1 else out  # a single factor comes back as is
 
 
 def _grid_coordinates(ps: list[Partition]) -> list[np.ndarray]:
@@ -168,16 +182,18 @@ def poly_operator_matrix(terms, ps: list[Partition]) -> np.ndarray:
     """
     space = space_of(ps)
     zs = [diff_matrix(p) for p in ps]
+    # Z^k of each dimension, computed once per call; Z^0 is the identity
+    powers = [{0: np.eye(size)} for size in space.sizes]
     out = np.zeros((space.total, space.total))
     for coeff, exponents in terms:
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != space.d:
             raise ValueError(f"exponent vector {exponents} has wrong length")
-        factors = tuple(
-            None if e == 0 else np.linalg.matrix_power(z, e)
-            for z, e in zip(zs, exponents)
-        )
-        out += _scale_rows(coeff, realize(LiftedOperator(space, factors)))
+        for z, cache, e in zip(zs, powers, exponents):
+            if e not in cache:
+                cache[e] = as_matrix(np.linalg.matrix_power(z, e))  # rejects overflow
+        factors = [cache[e] for cache, e in zip(powers, exponents)]
+        out += _scale_rows(coeff, _kron(factors))
     return out
 
 

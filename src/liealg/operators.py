@@ -28,7 +28,12 @@ def diff_matrix(p: Partition) -> np.ndarray:
 
     Raises ``ValueError`` when the pi-weights leave the float64 range and an
     entry comes out infinite or NaN (e.g. 1001 uniform nodes on [-1, 1]).
+
+    The matrix is built once per partition and stored on it, read-only; later
+    calls return the same array.  A failure is not stored, so it repeats.
     """
+    if p._diff is not None:
+        return p._diff
     x = p.nodes
     with np.errstate(all="ignore"):
         pi = pi_weights(p)
@@ -39,6 +44,8 @@ def diff_matrix(p: Partition) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError(f"differentiation matrix of {x.size} nodes is not finite: "
                          "the pi-weights overflow or underflow float64")
+    z.flags.writeable = False
+    object.__setattr__(p, "_diff", z)
     return z
 
 

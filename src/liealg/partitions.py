@@ -12,7 +12,7 @@ so evaluation there is extrapolation, not an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,8 @@ class Partition:
     """Strictly increasing nodes x_0 .. x_n on the interval [x_0, x_n]."""
 
     nodes: np.ndarray
+    # read-only differentiation matrix, stored by operators.diff_matrix on first use
+    _diff: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float).copy()

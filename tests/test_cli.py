@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from liealg.cli import main
+from liealg import bvp
+from liealg.cli import SINGULAR_STATUS, TABLE_HEADER, _table_row, main
 
 EXPECTED_Z012 = np.array([[-1.5, 2.0, -0.5], [-0.5, 0.0, 0.5], [0.5, -2.0, 1.5]])
 
@@ -90,6 +91,31 @@ class TestTable3:
         assert status == 0
         rows = parse_csv(out)
         assert [r["n"] for r in rows] == ["6x5"]
+
+
+class TestSingular2DSolve:
+    def test_table3_warns_and_exits_3(self, capsys):
+        status, out, err = run_cli(capsys, "table3", "--n1", "20", "--n2", "20")
+        assert status == SINGULAR_STATUS == 3
+        report = bvp.solve_hyperbolic(20, 20)
+        assert out == f"{TABLE_HEADER}\n{_table_row('lie', '20x20', report)}\n"
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert "warning" in lines[0] and "20x20" in lines[0]
+        assert f"rcond {report.rcond:.4e}" in lines[0]
+        assert parse_csv(out)[0]["rcond"] == f"{report.rcond:.4e}"
+
+    def test_plot_figure1_warns_and_exits_3(self, capsys):
+        status, out, err = run_cli(capsys, "plot-figure1", "--n1", "20", "--n2", "20")
+        assert status == 3
+        assert out == bvp.format_surface(bvp.solve_hyperbolic(20, 20))
+        assert len(err.splitlines()) == 1 and "20x20" in err
+
+    def test_gated_grid_is_silent(self, capsys):
+        status, out, err = run_cli(capsys, "table3", "--n1", "15", "--n2", "15")
+        assert status == 0
+        assert err == ""
+        assert [r["n"] for r in parse_csv(out)] == ["15x15"]
 
 
 class TestRankAudit:

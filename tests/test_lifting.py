@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,20 @@ def entrywise_realize(op: LiftedOperator) -> np.ndarray:
                 value *= (1.0 if ia == ja else 0.0) if f is None else f[ia, ja]
             out[row - 1, col - 1] = value
     return out
+
+
+def kron_chain(factors) -> np.ndarray:
+    """kron(F_d, ..., F_1) of factors (F_1, ..., F_d), as a chain of np.kron calls."""
+    out = np.array([[1.0]])
+    for f in reversed(factors):
+        out = np.kron(out, f)
+    return out
+
+
+def assert_bit_identical(got, expected):
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestStar:
@@ -138,6 +154,43 @@ class TestRealize:
             LiftedOperator(space, (np.eye(2), None))
         with pytest.raises(ValueError, match="expected 2 factors"):
             LiftedOperator(space, (None,))
+
+
+class TestKroneckerBitIdentity:
+    def test_realize_matches_kron_chain(self):
+        rng = np.random.default_rng(13)
+        negative_zeros = 0
+        for dims in ((3,), (2, 1), (1, 2, 2)):
+            space = MultiIndexSpace(dims)
+            for pattern in product((False, True), repeat=len(dims)):
+                factors = tuple(rng.standard_normal((n + 1, n + 1)) if dense else None
+                                for n, dense in zip(dims, pattern))
+                op = LiftedOperator(space, factors)
+                expected = kron_chain([np.eye(size) if f is None else f
+                                       for size, f in zip(space.sizes, op.factors)])
+                got = realize(op)
+                assert_bit_identical(got, expected)
+                assert got.flags.writeable
+                assert not any(np.shares_memory(got, f) for f in op.factors if f is not None)
+                negative_zeros += np.count_nonzero((got == 0.0) & np.signbit(got))
+        # identity zeros times negative entries give -0.0, as in np.kron
+        assert negative_zeros > 0
+
+    def test_poly_operator_matrix_matches_reference_sum(self):
+        rng = np.random.default_rng(14)
+        for ns in ((3, 2), (2, 1, 2)):
+            ps = [jittered_partition(rng, n) for n in ns]
+            total = space_of(ps).total
+            exponents = [tuple(int(e) for e in rng.integers(0, 3, size=len(ns)))
+                         for _ in range(5)]
+            coeffs = [-1.5, rng.standard_normal(total), 2.0, rng.standard_normal(total), -0.25]
+            terms = list(zip(coeffs, exponents))
+            expected = np.zeros((total, total))
+            for coeff, exps in terms:
+                factors = [np.linalg.matrix_power(diff_matrix(p), e) if e else np.eye(p.n + 1)
+                           for p, e in zip(ps, exps)]
+                expected += np.reshape(coeff, (-1, 1)) * kron_chain(factors)
+            assert_bit_identical(poly_operator_matrix(terms, ps), expected)
 
 
 class TestCompose:

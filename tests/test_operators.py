@@ -148,6 +148,31 @@ class TestNonFiniteDiffMatrix:
                 diff_matrix(uniform_partition(-1.0, 1.0, 1000))
 
 
+class TestDiffMatrixPerPartition:
+    def test_repeat_call_returns_same_array(self):
+        p = jittered_partition(np.random.default_rng(15), 5)
+        assert diff_matrix(p) is diff_matrix(p)
+
+    def test_read_only(self):
+        z = diff_matrix(Partition(np.array([0.0, 1.0, 3.0])))
+        with pytest.raises(ValueError, match="read-only"):
+            z[0, 0] = 1.0
+
+    def test_equal_partition_gets_its_own_array(self):
+        nodes = np.array([0.0, 0.5, 2.0, 2.5])
+        first, second = Partition(nodes), Partition(nodes.copy())
+        z1, z2 = diff_matrix(first), diff_matrix(second)
+        assert z1 is not z2
+        assert not np.shares_memory(z1, z2)
+        np.testing.assert_array_equal(z1, z2)
+
+    def test_failure_is_not_stored(self):
+        p = uniform_partition(-1.0, 1.0, 1000)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not finite"):
+                diff_matrix(p)
+
+
 class TestDifferentiateValues:
     def test_square_on_three_nodes(self):
         np.testing.assert_array_equal(
