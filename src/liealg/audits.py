@@ -16,7 +16,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .lifting import full_rank_predicate, poly_operator_matrix, space_of
-from .linalg import as_matrix, numerical_rank
+from .linalg import _norm_inf, as_matrix, numerical_rank
 from .operators import diff_matrix
 from .partitions import Partition, jittered_partition, uniform_partition
 
@@ -55,10 +55,6 @@ class AuditReport:
     @property
     def passed(self) -> bool:
         return self.expected == self.observed
-
-
-def _norm_inf(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=1).max())
 
 
 def _is_power_zero(h: np.ndarray, power: np.ndarray, k: int, tol: float) -> bool:

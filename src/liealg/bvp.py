@@ -70,23 +70,20 @@ def error_metrics(approx, exact) -> tuple[float, float, float]:
     return float(err.sum()), float(err.max()), float(err.mean())
 
 
-def two_point_coefficients(x):
-    """Coefficient values (p, q, r, s) of the transformed 1-D equation at x."""
-    p = -(2.0 / math.pi) * x**3 + 3.0 * x**2 - math.pi * x
-    q = 2.0 * (-(6.0 / math.pi) * x**2 + 6.0 * x - math.pi)
-    r = -(12.0 / math.pi) * x + 6.0 + x * (2.0 - (2.0 / math.pi) * x) * (x - math.pi / 2.0)
-    s = (2.0 / math.pi) * x - 2.0
-    return p, q, r, s
-
-
-def _exact_two_point(x):
-    return np.sin(x) + 2.0 * np.cos(x)
-
-
 # ascending-power coefficient vectors of p, q, r, s
 _P_COEFFS = (0.0, -math.pi, 3.0, -2.0 / math.pi)
 _Q_COEFFS = (-2.0 * math.pi, 12.0, -12.0 / math.pi)
 _R_COEFFS = (6.0, -12.0 / math.pi - math.pi, 3.0, -2.0 / math.pi)
+_S_COEFFS = (-2.0, 2.0 / math.pi)
+
+
+def two_point_coefficients(x):
+    """Coefficient values (p, q, r, s) of the transformed 1-D equation at x."""
+    return tuple(npoly.polyval(x, c) for c in (_P_COEFFS, _Q_COEFFS, _R_COEFFS, _S_COEFFS))
+
+
+def _exact_two_point(x):
+    return np.sin(x) + 2.0 * np.cos(x)
 
 
 def solve_two_point(n: int, include_zero_endpoint: bool = False) -> BvpReport:
@@ -101,11 +98,8 @@ def solve_two_point(n: int, include_zero_endpoint: bool = False) -> BvpReport:
     a = 0.0 if include_zero_endpoint else 0.001
     part = uniform_partition(a, math.pi / 2.0, n)
     x = part.nodes
-    matrix = apply_operator_poly([(npoly.polyval(x, _R_COEFFS), 0),
-                                  (npoly.polyval(x, _Q_COEFFS), 1),
-                                  (npoly.polyval(x, _P_COEFFS), 2)], part)
-    rhs = two_point_coefficients(x)[3]
-    v, rcond = lu_solve(matrix, rhs)
+    p, q, r, s = two_point_coefficients(x)
+    v, rcond = lu_solve(apply_operator_poly([(r, 0), (q, 1), (p, 2)], part), s)
     u = (2.0 - 2.0 * x / math.pi) * (x * (x - math.pi / 2.0) * v + 1.0)
     e_sum, e_max, e_avg = error_metrics(u, _exact_two_point(x))
     return BvpReport((part,), v, u, e_sum, e_max, e_avg, rcond)

@@ -17,7 +17,6 @@ from .partitions import Partition, read_partition, uniform_partition
 
 COMMANDS = ("diffmat", "rank-audit", "table1", "table3", "plot-figure1")
 MAX_N = 20
-MAX_TOTAL = 1024
 TABLE_HEADER = "method,n,E,Emax,Eavg,rcond"
 # a 2-D solve whose rcond is below machine epsilon is reported, and the
 # command exits with this status, since its errors are rounding noise
@@ -139,10 +138,6 @@ def _validate(config: RunConfig) -> None:
         value = getattr(config, key)
         if value is not None and not 1 <= value <= MAX_N:
             raise ConfigError(f"{key} must lie in 1..{MAX_N}, got {value}")
-    if config.command in ("table3", "plot-figure1"):
-        n1, n2 = _resolve_dims(config)
-        if (n1 + 1) * (n2 + 1) > MAX_TOTAL:
-            raise ConfigError(f"grid size {(n1 + 1) * (n2 + 1)} exceeds {MAX_TOTAL}")
 
 
 def _resolve_dims(config: RunConfig) -> tuple[int, int]:

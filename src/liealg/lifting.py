@@ -27,8 +27,8 @@ from math import prod
 
 import numpy as np
 
-from .linalg import as_matrix
-from .operators import _scale_rows, diff_matrix
+from .linalg import _kron, as_matrix
+from .operators import _poly_matrix, diff_matrix
 from .partitions import Partition
 
 __all__ = [
@@ -134,20 +134,6 @@ def lifted_diff(alpha: int, ps: list[Partition]) -> LiftedOperator:
     return LiftedOperator(space, tuple(factors))
 
 
-def _kron(factors) -> np.ndarray:
-    """kron(F_d, ..., F_1) of per-dimension factors (F_1, ..., F_d), by broadcasting.
-
-    Each step forms the same entrywise products, in the same order, as a chain
-    of ``np.kron`` calls, so the result is bit-identical (signed zeros
-    included) without ``np.kron``'s generic N-d overhead on small factors.
-    """
-    out = factors[-1]
-    for f in reversed(factors[:-1]):
-        shape = (out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
-        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(shape)
-    return out
-
-
 def realize(op: LiftedOperator) -> np.ndarray:
     """N x N matrix of a lifted operator: kron of the factors in reversed order."""
     factors = [np.eye(size) if f is None else f
@@ -180,21 +166,7 @@ def poly_operator_matrix(terms, ps: list[Partition]) -> np.ndarray:
     coefficient is a scalar or a vector of grid values in star order; each
     term adds ``diag(c) @ kron(Z_d^{k_d}, ..., Z_1^{k_1})``, in the given order.
     """
-    space = space_of(ps)
-    zs = [diff_matrix(p) for p in ps]
-    # Z^k of each dimension, computed once per call; Z^0 is the identity
-    powers = [{0: np.eye(size)} for size in space.sizes]
-    out = np.zeros((space.total, space.total))
-    for coeff, exponents in terms:
-        exponents = tuple(int(e) for e in exponents)
-        if len(exponents) != space.d:
-            raise ValueError(f"exponent vector {exponents} has wrong length")
-        for z, cache, e in zip(zs, powers, exponents):
-            if e not in cache:
-                cache[e] = as_matrix(np.linalg.matrix_power(z, e))  # rejects overflow
-        factors = [cache[e] for cache, e in zip(powers, exponents)]
-        out += _scale_rows(coeff, _kron(factors))
-    return out
+    return _poly_matrix(terms, ps)
 
 
 def full_rank_predicate(terms, ps: list[Partition]) -> bool:

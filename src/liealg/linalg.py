@@ -1,4 +1,4 @@
-"""Dense real matrix arithmetic: Kronecker products, pivoted LU, numerical rank."""
+"""Dense real matrix arithmetic: the Kronecker kernel, pivoted LU, numerical rank."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ __all__ = [
 
 
 class SingularSystemError(RuntimeError):
-    """Raised when LU elimination meets a pivot column with no usable pivot.
+    """Raised when LU elimination meets a pivot column whose best pivot is exactly zero.
 
     Carries ``pivot_index``, the elimination step at which the breakdown
     occurred.  Near-singular but formally invertible systems do not raise;
@@ -47,31 +47,48 @@ def as_vector(a) -> np.ndarray:
     return m
 
 
+def _kron(factors) -> np.ndarray:
+    """kron(F_d, ..., F_1) of per-dimension factors (F_1, ..., F_d), by broadcasting.
+
+    Each step forms the same entrywise products, in the same order, as a chain
+    of NumPy ``kron`` calls, so the result is bit-identical (signed zeros
+    included) without NumPy's generic N-d overhead on small factors.
+    """
+    out = factors[-1]
+    for f in reversed(factors[:-1]):
+        shape = (out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(shape)
+    return out
+
+
 def kron(a, b) -> np.ndarray:
     """Kronecker product in the standard block form.
 
     Entry at block (i, j), offset (k, l) equals ``a[i, j] * b[k, l]``;
     the second factor's index varies fastest.
     """
-    return np.kron(as_matrix(a), as_matrix(b))
+    return _kron((as_matrix(b), as_matrix(a)))
 
 
-def lu_factor(a, pivot_tol: float = 0.0):
+def _norm_inf(a: np.ndarray) -> float:
+    return float(np.abs(a).sum(axis=1).max())
+
+
+def lu_factor(a):
     """LU factorization with partial pivoting, packed in a single array.
 
     Returns ``(lu, piv)`` where ``piv`` is the row permutation applied to the
-    input.  Raises :class:`SingularSystemError` when the magnitude of the best
-    available pivot does not exceed ``pivot_tol * max|a|``.
+    input.  Raises :class:`SingularSystemError` when the best available pivot
+    is exactly zero.
     """
     lu = as_matrix(a).copy()
     n, m = lu.shape
     if n != m:
         raise ValueError(f"square matrix required, got shape {lu.shape}")
-    threshold = pivot_tol * np.abs(lu).max()
     piv = np.arange(n)
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) <= threshold:
+        if lu[p, k] == 0.0:
             raise SingularSystemError(k)
         if p != k:
             lu[[k, p]] = lu[[p, k]]
@@ -93,7 +110,7 @@ def _lu_apply(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def lu_solve(a, b, pivot_tol: float = 0.0):
+def lu_solve(a, b):
     """Solve ``a x = b`` by partially pivoted LU.
 
     Returns ``(x, rcond)`` where ``rcond = 1 / (norm_inf(a) * norm_inf(a^-1))``
@@ -104,11 +121,11 @@ def lu_solve(a, b, pivot_tol: float = 0.0):
     b = as_vector(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"right-hand side length {b.shape[0]} != matrix dimension {a.shape[0]}")
-    lu, piv = lu_factor(a, pivot_tol)
+    lu, piv = lu_factor(a)
     x = _lu_apply(lu, piv, b)
     inv = _lu_apply(lu, piv, np.eye(a.shape[0]))
-    norm_a = np.abs(a).sum(axis=1).max()
-    norm_inv = np.abs(inv).sum(axis=1).max()
+    norm_a = _norm_inf(a)
+    norm_inv = _norm_inf(inv)
     rcond = 0.0 if norm_inv == 0.0 else 1.0 / (norm_a * norm_inv)
     return x, rcond
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from math import prod
+from operator import index
+
 import numpy as np
 
+from .linalg import _kron, as_matrix
 from .partitions import Partition, pi_weights
 
 __all__ = [
@@ -64,6 +68,34 @@ def _scale_rows(coeff, m: np.ndarray) -> np.ndarray:
     return coeff[:, None] * m
 
 
+def _poly_matrix(terms, ps: list[Partition]) -> np.ndarray:
+    """sum_t diag(c_t) @ kron(Z_d^{k_d}, ..., Z_1^{k_1}) over the partitions of a grid.
+
+    The one assembler of polynomial operators, for every dimension d >= 1:
+    ``terms`` holds ``(c_t, (k_1, ..., k_d))`` pairs, ``c_t`` a scalar or a
+    vector of grid values (dimension 1 fastest), summed in the given order.
+    """
+    if not ps:
+        raise ValueError("need d >= 1 partitions")
+    zs = [diff_matrix(p) for p in ps]
+    # Z^k of each dimension, computed once per call; Z^0 is the identity
+    powers = [{0: np.eye(p.n + 1)} for p in ps]
+    total = prod(p.n + 1 for p in ps)
+    out = np.zeros((total, total))
+    for coeff, exponents in terms:
+        exponents = tuple(index(e) for e in exponents)  # rejects 1.5, never truncates it
+        if len(exponents) != len(ps):
+            raise ValueError(f"exponent vector {exponents} has wrong length")
+        for z, cache, e in zip(zs, powers, exponents):
+            if e < 0:
+                raise ValueError(f"derivative order must be non-negative, got {e}")
+            if e not in cache:
+                cache[e] = as_matrix(np.linalg.matrix_power(z, e))  # rejects overflow
+        factors = [cache[e] for cache, e in zip(powers, exponents)]
+        out += _scale_rows(coeff, _kron(factors))
+    return out
+
+
 def apply_operator_poly(terms, p: Partition) -> np.ndarray:
     """Collocation matrix sum_k diag(c_k) @ Z^k (with Z^0 = I).
 
@@ -72,13 +104,7 @@ def apply_operator_poly(terms, p: Partition) -> np.ndarray:
     given order.  No invertibility is implied: non-constant coefficients can
     destroy full rank, so callers should watch the solver's condition estimate.
     """
-    z = diff_matrix(p)
-    out = np.zeros((p.n + 1, p.n + 1))
-    for coeff, order in terms:
-        if order < 0:
-            raise ValueError(f"derivative order must be non-negative, got {order}")
-        out += _scale_rows(coeff, np.linalg.matrix_power(z, order))
-    return out
+    return _poly_matrix([(coeff, (order,)) for coeff, order in terms], [p])
 
 
 def differentiate_values(p: Partition, values) -> np.ndarray:

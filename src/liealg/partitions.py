@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import _kron
+
 __all__ = [
     "Partition",
     "uniform_partition",
@@ -132,11 +134,8 @@ def tensor_interpolate(ps: list[Partition], values, point) -> float:
     total = np.prod([p.n + 1 for p in ps])
     if values.shape != (total,):
         raise ValueError(f"expected {total} grid values, got shape {values.shape}")
-    weights = np.array([1.0])
-    # dimension 1 fastest == last kron factor
-    for p, x in zip(reversed(ps), reversed(point)):
-        weights = np.kron(weights, lagrange_basis_row(p, float(x)))
-    return float(weights @ values)
+    rows = [lagrange_basis_row(p, float(x))[None, :] for p, x in zip(ps, point)]
+    return float(_kron(rows).ravel() @ values)
 
 
 def write_partition(path, p: Partition) -> None:

@@ -238,6 +238,15 @@ class TestPolyOperatorMatrix:
         with pytest.raises(ValueError, match="coefficient shape"):
             poly_operator_matrix([(np.ones(3), (1, 0))], UNIT_SQUARE)
 
+    def test_exponent_validation(self):
+        # Z is nilpotent: a negative power would be a meaningless huge "inverse"
+        with pytest.raises(ValueError, match="non-negative"):
+            poly_operator_matrix([(1.0, (-1, 0))], [uniform_partition(0.0, 1.0, 2)] * 2)
+        with pytest.raises(ValueError, match="wrong length"):
+            poly_operator_matrix([(1.0, (1,))], UNIT_SQUARE)
+        with pytest.raises(TypeError):
+            poly_operator_matrix([(1.0, (1.5, 0))], UNIT_SQUARE)
+
 
 class TestGridEval:
     def test_constant(self):

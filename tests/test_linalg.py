@@ -28,6 +28,20 @@ class TestKron:
     def test_identities(self):
         np.testing.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
 
+    def test_bit_identical_to_numpy_kron(self):
+        rng = np.random.default_rng(21)
+        negative_zeros = 0
+        for _ in range(50):
+            a = rng.standard_normal(tuple(rng.integers(1, 5, size=2)))
+            b = rng.standard_normal(tuple(rng.integers(1, 5, size=2)))
+            a[rng.random(a.shape) < 0.4] = 0.0
+            b[rng.random(b.shape) < 0.4] = 0.0
+            got, expected = kron(a, b), np.kron(a, b)
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+            negative_zeros += np.count_nonzero((got == 0.0) & np.signbit(got))
+        assert negative_zeros > 0
+
     def test_diagonal_blocks(self):
         got = kron(np.diag([1.0, 2.0]), np.eye(2))
         np.testing.assert_array_equal(got, np.diag([1.0, 1.0, 2.0, 2.0]))
@@ -86,6 +100,12 @@ class TestLuSolve:
         with pytest.raises(SingularSystemError) as err:
             lu_solve(np.zeros((2, 2)), [1.0, 1.0])
         assert err.value.pivot_index == 0
+
+    def test_tiny_nonzero_pivot_is_not_singular(self):
+        # only an exactly zero pivot raises; near-singularity shows in rcond
+        x, rcond = lu_solve(np.diag([1e-300, 1.0]), [1e-300, 1.0])
+        np.testing.assert_array_equal(x, [1.0, 1.0])
+        assert rcond == pytest.approx(1e-300)
 
     def test_singular_pivot_index_reported(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])

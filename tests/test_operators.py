@@ -111,6 +111,8 @@ class TestOperatorPoly:
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
             apply_operator_poly([(1.0, -1)], P012)
+        with pytest.raises(TypeError):
+            apply_operator_poly([(1.0, 1.5)], P012)
         with pytest.raises(ValueError, match="coefficient shape"):
             apply_operator_poly([(np.ones(2), 1)], P012)
 
@@ -137,6 +139,20 @@ class TestOperatorPoly:
             got = apply_operator_poly(terms, p)
             np.testing.assert_allclose(got, expected, rtol=1e-13,
                                        atol=1e-13 * np.abs(expected).max())
+
+    def test_bit_identical_to_scaled_power_sum(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 4, 9):
+            p = jittered_partition(rng, n)
+            z = diff_matrix(p)
+            terms = [(rng.standard_normal(n + 1), 0), (-1.5, 1),
+                     (rng.standard_normal(n + 1), 2), (0.25, 0)]
+            expected = np.zeros((n + 1, n + 1))
+            for coeff, k in terms:
+                expected += np.reshape(coeff, (-1, 1)) * np.linalg.matrix_power(z, k)
+            got = apply_operator_poly(terms, p)
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestNonFiniteDiffMatrix:

@@ -162,6 +162,19 @@ class TestTensorInterpolate:
             assert tensor_interpolate([p], values, [x]) == pytest.approx(
                 interpolate_1d(p, values, x))
 
+    def test_matches_kron_chain_reference_exactly(self):
+        rng = np.random.default_rng(22)
+        for d in (1, 2, 3):
+            ps = [jittered_partition(rng, n, -1.0, 1.0) for n in rng.integers(1, 5, size=d)]
+            values = rng.standard_normal(int(np.prod([p.n + 1 for p in ps])))
+            points = [rng.uniform(-1.5, 1.5, d) for _ in range(10)]
+            points.append([p.nodes[1] for p in ps])
+            for point in points:
+                weights = np.array([1.0])
+                for p, x in zip(reversed(ps), reversed(point)):
+                    weights = np.kron(weights, lagrange_basis_row(p, float(x)))
+                assert tensor_interpolate(ps, values, point) == float(weights @ values)
+
     def test_length_checks(self):
         ps = self.grid()
         with pytest.raises(ValueError, match="grid values"):
