@@ -81,19 +81,38 @@ def audit_diff_rank(p: Partition, rel_tol: float = 1e-8,
     The two case names are ``prefix`` followed by ``rank[n=..]`` and
     ``nilpotent[n=..]``.
     """
-    n = p.n
-    if n > MAX_LADDER_N:
-        raise ValueError(
-            f"conditioning guard: n={n} exceeds {MAX_LADDER_N}; beyond this the "
-            "differentiation matrix is too ill-conditioned for float64 rank "
-            "checks (exact-arithmetic verification is out of scope)")
-    z = diff_matrix(p)
-    power = np.linalg.matrix_power(z, n + 1)
-    rank_report = AuditReport(f"{prefix}rank[n={n}]", n, numerical_rank(z, rel_tol), rel_tol)
-    nil_report = AuditReport(
-        f"{prefix}nilpotent[n={n}]", True,
-        _is_power_zero(z, power, n + 1, NILPOTENCY_TOL), NILPOTENCY_TOL)
-    return rank_report, nil_report
+    return tuple(_diff_rank_reports([(p, prefix)], rel_tol))
+
+
+def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
+    """:func:`audit_diff_rank` of each ``(partition, prefix)``, reports in case order.
+
+    Partitions of equal n are checked as one stack: one batched SVD, one
+    stacked matrix power and stacked norms per n.
+    """
+    for p, _ in cases:
+        if p.n > MAX_LADDER_N:
+            raise ValueError(
+                f"conditioning guard: n={p.n} exceeds {MAX_LADDER_N}; beyond this the "
+                "differentiation matrix is too ill-conditioned for float64 rank "
+                "checks (exact-arithmetic verification is out of scope)")
+    pairs: list = [None] * len(cases)
+    for n in sorted({p.n for p, _ in cases}):
+        group = [i for i, (p, _) in enumerate(cases) if p.n == n]
+        zs = np.empty((len(group), n + 1, n + 1))
+        for row, i in enumerate(group):
+            zs[row] = diff_matrix(cases[i][0])
+        ranks = numerical_rank(zs, rel_tol)
+        # _is_power_zero's test per matrix, with its Python float power
+        # (a vectorized power may round the threshold differently)
+        nilpotent = [top <= NILPOTENCY_TOL * z ** (n + 1) for top, z in zip(
+            _norm_inf(np.linalg.matrix_power(zs, n + 1)).tolist(), _norm_inf(zs).tolist())]
+        for row, i in enumerate(group):
+            prefix = cases[i][1]
+            pairs[i] = (AuditReport(f"{prefix}rank[n={n}]", n, ranks[row], rel_tol),
+                        AuditReport(f"{prefix}nilpotent[n={n}]", True, nilpotent[row],
+                                    NILPOTENCY_TOL))
+    return [report for pair in pairs for report in pair]
 
 
 def audit_rank_ladder(h, rel_tol: float = 1e-8, prefix: str = "rank_ladder") -> list[AuditReport]:
@@ -150,21 +169,38 @@ def audit_nilpotent_poly_rank(b, coeffs, k: int, rel_tol: float = 1e-8) -> Audit
 COUNTEREXAMPLE_MATRIX = np.array([[-2.0, -1.0], [4.0, 2.0]])
 
 
-def counterexample_det(a: float, b: float) -> float:
-    """det(I_2 + diag(a, b) @ B) for the fixed nilpotent B; equals 1 + 2(b - a)."""
-    return float(np.linalg.det(np.eye(2) + np.diag([a, b]) @ COUNTEREXAMPLE_MATRIX))
+def counterexample_det(a, b):
+    """det(I_2 + diag(a, b) @ B) for the fixed nilpotent B; equals 1 + 2(b - a).
+
+    Scalars give a ``float``; arrays (broadcast together) give one
+    determinant per entry, from one stacked ``det``.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    # entry (i, j) of diag(a, b) @ B is the single product d_i * B[i, j]
+    scaled = np.stack([a, b], axis=-1)[..., :, None] * COUNTEREXAMPLE_MATRIX
+    det = np.linalg.det(np.eye(2) + scaled)
+    return float(det) if det.ndim == 0 else det
 
 
 def audit_lifted_poly_rank(terms, ps: list[Partition], rel_tol: float = 1e-8) -> AuditReport:
     """Check the constant-term full-rank predicate against the numerical rank."""
+    return _lifted_poly_reports([terms], ps, rel_tol)[0]
+
+
+def _lifted_poly_reports(cases, ps: list[Partition], rel_tol: float) -> list[AuditReport]:
+    """:func:`audit_lifted_poly_rank` of each term list on one grid, with one batched SVD."""
     space = space_of(ps)
     if space.total > MAX_LIFTED_TOTAL:
         raise ValueError(f"size guard: N={space.total} exceeds {MAX_LIFTED_TOTAL}")
-    predicate = full_rank_predicate(terms, ps)
-    matrix = poly_operator_matrix(terms, ps)
-    observed = numerical_rank(matrix, rel_tol) == space.total
-    label = "+".join("{:g}z{}".format(c, "".join(str(int(x)) for x in e)) for c, e in terms)
-    return AuditReport(f"lifted_poly_rank[{label}]", predicate, observed, rel_tol)
+    matrices = np.empty((len(cases), space.total, space.total))
+    for i, terms in enumerate(cases):
+        matrices[i] = poly_operator_matrix(terms, ps)
+    reports = []
+    for terms, rank in zip(cases, numerical_rank(matrices, rel_tol)):
+        label = "+".join("{:g}z{}".format(c, "".join(str(int(x)) for x in e)) for c, e in terms)
+        reports.append(AuditReport(f"lifted_poly_rank[{label}]", full_rank_predicate(terms, ps),
+                                   rank == space.total, rel_tol))
+    return reports
 
 
 def random_poly_rank_case(rng: np.random.Generator, rel_tol: float) -> AuditReport:
@@ -200,11 +236,13 @@ def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     rng = np.random.default_rng(seed)
     reports: list[AuditReport] = []
 
-    reports += audit_diff_rank(Partition(np.array([0.0, 1.0])), rel_tol)
-    reports += audit_diff_rank(Partition(np.array([0.0, 1.0, 2.0])), rel_tol)
+    diff_cases = [(Partition(np.array([0.0, 1.0])), "diff_"),
+                  (Partition(np.array([0.0, 1.0, 2.0])), "diff_")]
     for t in range(100):
         n = int(rng.integers(2, 11))
-        reports += audit_diff_rank(jittered_partition(rng, n), rel_tol, f"diff_random{t:03d}_")
+        diff_cases.append((jittered_partition(rng, n), f"diff_random{t:03d}_"))
+    reports += _diff_rank_reports(diff_cases, rel_tol)
+    del diff_cases  # frees the partitions and their Z before the larger stacks below
 
     for label, h in (
         ("z01", diff_matrix(Partition(np.array([0.0, 1.0])))),
@@ -221,9 +259,9 @@ def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     for _ in range(50):
         reports.append(random_poly_rank_case(rng, rel_tol))
 
-    grid = np.linspace(-2.0, 2.0, 20)
-    deviation = max(abs(counterexample_det(a, b) - (1.0 + 2.0 * (b - a)))
-                    for a in grid for b in grid)
+    grid_a, grid_b = np.meshgrid(np.linspace(-2.0, 2.0, 20), np.linspace(-2.0, 2.0, 20),
+                                 indexing="ij")
+    deviation = np.abs(counterexample_det(grid_a, grid_b) - (1.0 + 2.0 * (grid_b - grid_a))).max()
     reports.append(AuditReport("counterexample_identity_20x20", True, deviation <= 1e-12, 1e-12))
     reports.append(AuditReport("counterexample_zero_at(1;0.5)", True,
                                abs(counterexample_det(1.0, 0.5)) <= 1e-12, 1e-12))
@@ -231,12 +269,13 @@ def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     # unit node spacing keeps norm(Z) of order one, so +-1 coefficients stay
     # within the decisive range of the rank threshold
     ps3 = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
-    reports.append(audit_lifted_poly_rank([(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], ps3, rel_tol))
-    reports.append(audit_lifted_poly_rank([(1.0, (2, 0)), (1.0, (0, 1))], ps3, rel_tol))
+    lifted = _lifted_poly_reports(
+        [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
+         *_lifted_poly_family()], ps3, rel_tol)
     ps2 = [Partition(np.arange(3.0)), Partition(np.arange(3.0))]
-    reports.append(audit_lifted_poly_rank([(-7.0, (0, 0))], ps2, rel_tol))
-    for terms in _lifted_poly_family():
-        reports.append(audit_lifted_poly_rank(terms, ps3, rel_tol))
+    reports += lifted[:2]
+    reports += _lifted_poly_reports([[(-7.0, (0, 0))]], ps2, rel_tol)
+    reports += lifted[2:]
 
     return reports
 

@@ -17,6 +17,8 @@ from .partitions import Partition, read_partition, uniform_partition
 
 COMMANDS = ("diffmat", "rank-audit", "table1", "table3", "plot-figure1")
 MAX_N = 20
+# the 2-D experiment needs at least 4 subintervals per dimension
+MIN_N_2D = 4
 TABLE_HEADER = "method,n,E,Emax,Eavg,rcond"
 # a 2-D solve whose rcond is below machine epsilon is reported, and the
 # command exits with this status, since its errors are rounding noise
@@ -134,10 +136,10 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"unknown command {config.command!r}")
     if not 0.0 < config.rel_tol < 1.0:
         raise ConfigError(f"rel-tol must lie in (0, 1), got {config.rel_tol}")
-    for key in ("n", "n1", "n2"):
+    for key, low in (("n", 1), ("n1", MIN_N_2D), ("n2", MIN_N_2D)):
         value = getattr(config, key)
-        if value is not None and not 1 <= value <= MAX_N:
-            raise ConfigError(f"{key} must lie in 1..{MAX_N}, got {value}")
+        if value is not None and not low <= value <= MAX_N:
+            raise ConfigError(f"{key} must lie in {low}..{MAX_N}, got {value}")
 
 
 def _resolve_dims(config: RunConfig) -> tuple[int, int]:

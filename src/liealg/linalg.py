@@ -70,8 +70,10 @@ def kron(a, b) -> np.ndarray:
     return _kron((as_matrix(b), as_matrix(a)))
 
 
-def _norm_inf(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=1).max())
+def _norm_inf(a: np.ndarray):
+    """Infinity norm of a matrix (a float), or of each matrix of a stack (an array)."""
+    norms = np.abs(a).sum(axis=-1).max(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def lu_factor(a):
@@ -86,15 +88,23 @@ def lu_factor(a):
     if n != m:
         raise ValueError(f"square matrix required, got shape {lu.shape}")
     piv = np.arange(n)
+    row = np.empty(n)  # buffer of a row swap
+    scratch = np.empty(n * n)  # the rank-1 update of each step, contiguous in its head
     for k in range(n):
         p = k + int(np.argmax(np.abs(lu[k:, k])))
         if lu[p, k] == 0.0:
             raise SingularSystemError(k)
         if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            piv[[k, p]] = piv[[p, k]]
+            row[:] = lu[k]
+            lu[k] = lu[p]
+            lu[p] = row
+            piv[k], piv[p] = piv[p], piv[k]
         lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+        rest = n - k - 1
+        update = scratch[:rest * rest].reshape(rest, rest)
+        np.multiply(lu[k + 1:, k, None], lu[k, k + 1:], out=update)
+        trailing = lu[k + 1:, k + 1:]
+        np.subtract(trailing, update, out=trailing)
     return lu, piv
 
 
@@ -130,17 +140,28 @@ def lu_solve(a, b):
     return x, rcond
 
 
-def numerical_rank(a, rel_tol: float = 1e-8) -> int:
+def numerical_rank(a, rel_tol: float = 1e-8):
     """Number of singular values exceeding ``rel_tol * sigma_max``.
 
-    The zero matrix has rank 0.  ``rel_tol`` must lie in (0, 1).
+    The zero matrix has rank 0.  ``rel_tol`` must lie in (0, 1).  A matrix
+    gives an ``int``; a stack of shape ``(B, m, n)`` gives an integer array of
+    B ranks from one batched SVD, each equal to the rank of its matrix alone.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    s = np.linalg.svd(as_matrix(a), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 3:
+        if a.shape[1] < 1 or a.shape[2] < 1:
+            raise ValueError(f"expected a stack of matrices, got shape {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
+        stack = a
+    else:
+        stack = as_matrix(a)[None]
+    s = np.linalg.svd(stack, compute_uv=False)
+    # a zero matrix has s[0] == 0, so none of its singular values counts
+    ranks = np.count_nonzero(s > rel_tol * s[:, :1], axis=1)
+    return ranks if a.ndim == 3 else int(ranks[0])
 
 
 def format_matrix(a) -> str:

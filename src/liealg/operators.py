@@ -68,6 +68,23 @@ def _scale_rows(coeff, m: np.ndarray) -> np.ndarray:
     return coeff[:, None] * m
 
 
+def _diff_power(p: Partition, k: int) -> np.ndarray:
+    """Z^k of the partition (Z^0 = I), built once and stored on it, read-only.
+
+    A power that leaves the float64 range raises on every call and is never
+    stored.
+    """
+    power = p._powers.get(k)
+    if power is None:
+        if k == 0:
+            power = np.eye(p.n + 1)
+        else:
+            power = as_matrix(np.linalg.matrix_power(diff_matrix(p), k))  # rejects overflow
+        power.flags.writeable = False
+        p._powers[k] = power
+    return power
+
+
 def _poly_matrix(terms, ps: list[Partition]) -> np.ndarray:
     """sum_t diag(c_t) @ kron(Z_d^{k_d}, ..., Z_1^{k_1}) over the partitions of a grid.
 
@@ -77,21 +94,15 @@ def _poly_matrix(terms, ps: list[Partition]) -> np.ndarray:
     """
     if not ps:
         raise ValueError("need d >= 1 partitions")
-    zs = [diff_matrix(p) for p in ps]
-    # Z^k of each dimension, computed once per call; Z^0 is the identity
-    powers = [{0: np.eye(p.n + 1)} for p in ps]
     total = prod(p.n + 1 for p in ps)
     out = np.zeros((total, total))
     for coeff, exponents in terms:
         exponents = tuple(index(e) for e in exponents)  # rejects 1.5, never truncates it
         if len(exponents) != len(ps):
             raise ValueError(f"exponent vector {exponents} has wrong length")
-        for z, cache, e in zip(zs, powers, exponents):
-            if e < 0:
-                raise ValueError(f"derivative order must be non-negative, got {e}")
-            if e not in cache:
-                cache[e] = as_matrix(np.linalg.matrix_power(z, e))  # rejects overflow
-        factors = [cache[e] for cache, e in zip(powers, exponents)]
+        if min(exponents) < 0:
+            raise ValueError(f"derivative order must be non-negative, got {min(exponents)}")
+        factors = [_diff_power(p, e) for p, e in zip(ps, exponents)]
         out += _scale_rows(coeff, _kron(factors))
     return out
 

@@ -38,6 +38,8 @@ class Partition:
     nodes: np.ndarray
     # read-only differentiation matrix, stored by operators.diff_matrix on first use
     _diff: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    # read-only powers Z^k by k, stored by the operator assembler on first use
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float).copy()

@@ -3,6 +3,12 @@ import pytest
 
 from liealg.audits import (
     COUNTEREXAMPLE_MATRIX,
+    NILPOTENCY_TOL,
+    AuditReport,
+    _diff_rank_reports,
+    _is_power_zero,
+    _lifted_poly_family,
+    _lifted_poly_reports,
     audit_diff_rank,
     audit_lifted_poly_rank,
     audit_rank_ladder,
@@ -11,12 +17,24 @@ from liealg.audits import (
     default_suite,
     reports_to_csv,
 )
+from liealg.lifting import poly_operator_matrix
+from liealg.linalg import numerical_rank
 from liealg.operators import diff_matrix
 from liealg.partitions import Partition, jittered_partition, uniform_partition
 
 P01 = Partition(np.array([0.0, 1.0]))
 P012 = Partition(np.array([0.0, 1.0, 2.0]))
 JORDAN2 = np.array([[0.0, 1.0], [0.0, 0.0]])
+
+
+def reference_diff_rank(p, prefix, rel_tol=1e-8):
+    """audit_diff_rank one matrix at a time: 2-D rank, 2-D power and norms."""
+    n = p.n
+    z = diff_matrix(p)
+    power = np.linalg.matrix_power(z, n + 1)
+    return (AuditReport(f"{prefix}rank[n={n}]", n, numerical_rank(z, rel_tol), rel_tol),
+            AuditReport(f"{prefix}nilpotent[n={n}]", True,
+                        _is_power_zero(z, power, n + 1, NILPOTENCY_TOL), NILPOTENCY_TOL))
 
 
 class TestDiffRankAudit:
@@ -39,6 +57,19 @@ class TestDiffRankAudit:
     def test_conditioning_guard(self):
         with pytest.raises(ValueError, match="conditioning guard"):
             audit_diff_rank(uniform_partition(0, 1, 13))
+        with pytest.raises(ValueError, match="conditioning guard"):
+            _diff_rank_reports([(P01, "a_"), (uniform_partition(0, 1, 13), "b_")], 1e-8)
+
+    @pytest.mark.parametrize("seed", [42, 7, 1])
+    def test_stacked_reports_equal_per_partition_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = [(P01, "diff_"), (P012, "diff_")]
+        for t in range(100):
+            n = int(rng.integers(2, 11))
+            cases.append((jittered_partition(rng, n), f"diff_random{t:03d}_"))
+        expected = [r for p, prefix in cases for r in reference_diff_rank(p, prefix)]
+        assert _diff_rank_reports(cases, 1e-8) == expected
+        assert [r for p, prefix in cases for r in audit_diff_rank(p, 1e-8, prefix)] == expected
 
 
 class TestRankLadder:
@@ -111,6 +142,23 @@ class TestCounterexample:
             for b in grid:
                 assert counterexample_det(a, b) == pytest.approx(1.0 + 2.0 * (b - a), abs=1e-12)
 
+    def test_scalar_gives_float(self):
+        assert type(counterexample_det(0.25, 0.75)) is float
+
+    def test_array_grid_equals_scalar_calls(self):
+        grid = np.linspace(-2.0, 2.0, 20)
+        a, b = np.meshgrid(grid, grid, indexing="ij")
+        got = counterexample_det(a, b)
+        expected = np.array([[counterexample_det(x, y) for y in grid] for x in grid])
+        assert got.shape == (20, 20)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_arrays_broadcast(self):
+        got = counterexample_det(np.array([0.0, 1.0]), 0.5)
+        expected = [counterexample_det(0.0, 0.5), counterexample_det(1.0, 0.5)]
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestLiftedPolyRankAudit:
     PS33 = [uniform_partition(0, 3, 3), uniform_partition(-1.5, 1.5, 3)]
@@ -132,6 +180,15 @@ class TestLiftedPolyRankAudit:
         ps = [uniform_partition(0, 1, 16), uniform_partition(0, 1, 16)]
         with pytest.raises(ValueError, match="size guard"):
             audit_lifted_poly_rank([(1.0, (0, 0))], ps)
+
+    def test_stacked_family_equals_per_case_calls(self):
+        ps = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
+        family = list(_lifted_poly_family())
+        reports = _lifted_poly_reports(family, ps, 1e-8)
+        assert len(reports) == 232
+        assert reports == [audit_lifted_poly_rank(terms, ps) for terms in family]
+        assert [r.observed for r in reports] == [
+            numerical_rank(poly_operator_matrix(terms, ps)) == 16 for terms in family]
 
 
 class TestDefaultSuite:

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from liealg import bvp
-from liealg.cli import SINGULAR_STATUS, TABLE_HEADER, _table_row, main
+from liealg.cli import SINGULAR_STATUS, TABLE_HEADER, RunConfig, _table_row, main, run
+
+DATA = Path(__file__).parent / "data"
 
 EXPECTED_Z012 = np.array([[-1.5, 2.0, -0.5], [-0.5, 0.0, 0.5], [0.5, -2.0, 1.5]])
 
@@ -144,6 +148,12 @@ class TestRankAudit:
         status, _, err = run_cli(capsys, "rank-audit", "--rel-tol", "2.0")
         assert status == 2 and "rel-tol" in err
 
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_output_matches_golden_file(self, seed):
+        status, text = run(RunConfig("rank-audit", seed=seed))
+        assert status == 0
+        assert text.encode() == (DATA / f"rank_audit_seed{seed}.csv").read_bytes()
+
 
 class TestPlotFigure1:
     def test_block_structure(self, capsys):
@@ -185,3 +195,24 @@ class TestConfigFile:
     def test_out_of_range_n_rejected(self, capsys):
         status, _, err = run_cli(capsys, "table3", "--n1", "25")
         assert status == 2 and "n1" in err
+
+    def test_table3_below_four_is_config_error(self, capsys):
+        status, out, err = run_cli(capsys, "table3", "--n1", "3")
+        assert status == 2 and out == ""
+        assert err == "liealg: n1 must lie in 4..20, got 3\n"
+
+    def test_plot_figure1_below_four_is_config_error(self, capsys):
+        status, out, err = run_cli(capsys, "plot-figure1", "--n1", "2", "--n2", "5")
+        assert status == 2 and out == ""
+        assert err == "liealg: n1 must lie in 4..20, got 2\n"
+
+    def test_config_file_n2_below_four_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n1=5\nn2=3\n")
+        status, _, err = run_cli(capsys, "table3", "--config", str(cfg))
+        assert status == 2 and "n2 must lie in 4..20" in err
+
+    def test_diffmat_keeps_one_to_twenty(self, capsys):
+        assert run_cli(capsys, "diffmat", "--n", "1")[0] == 0
+        status, _, err = run_cli(capsys, "diffmat", "--n", "0")
+        assert status == 2 and "n must lie in 1..20" in err

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liealg.bvp import _hyperbolic_system
 from liealg.linalg import (
     SingularSystemError,
     format_matrix,
     kron,
+    lu_factor,
     lu_solve,
     numerical_rank,
 )
 from liealg.operators import diff_matrix
-from liealg.partitions import Partition
+from liealg.partitions import Partition, uniform_partition
 
 
 def small_matrix(rows, cols):
@@ -86,6 +88,66 @@ class TestKron:
         np.testing.assert_allclose(left, right, atol=1e-12 * scale)
 
 
+def reference_lu_factor(a):
+    """The elimination loop with fancy-index row swaps and an ``np.outer`` per step."""
+    lu = np.array(a, dtype=float)
+    n = lu.shape[0]
+    piv = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if lu[p, k] == 0.0:
+            raise SingularSystemError(k)
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            piv[[k, p]] = piv[[p, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu, piv
+
+
+def factor_or_breakdown(factor, a):
+    try:
+        return factor(a)
+    except SingularSystemError as exc:
+        return exc.pivot_index
+
+
+class TestLuFactor:
+    def assert_same_factors(self, a):
+        got = factor_or_breakdown(lu_factor, a)
+        expected = factor_or_breakdown(reference_lu_factor, a)
+        if isinstance(expected, int):
+            assert got == expected
+            return
+        (lu, piv), (ref_lu, ref_piv) = got, expected
+        np.testing.assert_array_equal(lu, ref_lu)
+        np.testing.assert_array_equal(np.signbit(lu), np.signbit(ref_lu))
+        np.testing.assert_array_equal(piv, ref_piv)
+
+    @pytest.mark.parametrize("n1, n2", [(4, 4), (10, 10), (12, 7), (15, 15)])
+    def test_hyperbolic_operator_matches_reference_loop(self, n1, n2):
+        k, _ = _hyperbolic_system([uniform_partition(-1.0, 1.0, n1),
+                                   uniform_partition(-1.0, 1.0, n2)])
+        self.assert_same_factors(k)
+
+    def test_random_matrices_match_reference_loop(self):
+        rng = np.random.default_rng(12)
+        breakdowns = 0
+        for _ in range(60):
+            size = int(rng.integers(1, 40))
+            a = rng.standard_normal((size, size))
+            a[rng.random(a.shape) < 0.3] = 0.0  # zeros give signed-zero products
+            a[:, rng.random(size) < 0.05] = 0.0  # a zero column breaks down
+            self.assert_same_factors(a)
+            breakdowns += isinstance(factor_or_breakdown(reference_lu_factor, a), int)
+        assert breakdowns > 0
+
+    def test_input_is_not_modified(self):
+        a = np.array([[1.0, 2.0], [3.0, 4.0]])
+        lu_factor(a)
+        np.testing.assert_array_equal(a, [[1.0, 2.0], [3.0, 4.0]])
+
+
 class TestLuSolve:
     def test_identity(self):
         x, _ = lu_solve(np.eye(3), [1.0, 2.0, 3.0])
@@ -131,6 +193,12 @@ class TestLuSolve:
             assert 0.0 < rcond <= 1.0
 
 
+def reference_rank(a, rel_tol):
+    """The rank rule on one matrix, with its own 2-D SVD."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return 0 if s[0] == 0.0 else int(np.count_nonzero(s > rel_tol * s[0]))
+
+
 class TestNumericalRank:
     def test_zero_matrix(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
@@ -146,6 +214,46 @@ class TestNumericalRank:
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError, match="rel_tol"):
                 numerical_rank(np.eye(2), rel_tol=bad)
+            with pytest.raises(ValueError, match="rel_tol"):
+                numerical_rank(np.eye(2)[None], rel_tol=bad)
+
+    def test_matrix_gives_python_int(self):
+        assert type(numerical_rank(np.eye(2))) is int
+        with pytest.raises(ValueError, match="2-D"):
+            numerical_rank(np.ones(3))
+
+    def test_stack_of_mixed_ranks(self):
+        stack = np.array([np.zeros((3, 3)), np.diag([2.0, 0.0, 0.0]), np.eye(3),
+                          np.diag([1.0, 1e-15, 1.0])])
+        np.testing.assert_array_equal(numerical_rank(stack), [0, 1, 3, 2])
+
+    def test_empty_stack(self):
+        assert numerical_rank(np.zeros((0, 3, 2))).shape == (0,)
+
+    def test_stack_validation(self):
+        with pytest.raises(ValueError, match="stack"):
+            numerical_rank(np.zeros((2, 0, 3)))
+        bad = np.ones((2, 2, 2))
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            numerical_rank(bad)
+
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 6),
+           ranks=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_per_matrix_calls(self, rows, cols, ranks, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.empty((len(ranks), rows, cols))
+        for i, r in enumerate(ranks):
+            r = min(r, rows, cols)  # r = 0 gives the zero matrix
+            scale = 10.0 ** rng.uniform(-3, 3)
+            stack[i] = scale * rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
+        for rel_tol in (1e-8, 0.5):
+            got = numerical_rank(stack, rel_tol)
+            assert got.shape == (len(ranks),)
+            assert got.tolist() == [numerical_rank(m, rel_tol) for m in stack]
+            assert got.tolist() == [reference_rank(m, rel_tol) for m in stack]
 
 
 def test_format_matrix_round_trips_17_digits():

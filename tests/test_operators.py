@@ -2,9 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liealg.linalg import numerical_rank
+from liealg.lifting import poly_operator_matrix
+from liealg.linalg import _norm_inf, numerical_rank
 from liealg.operators import (
+    _diff_power,
     apply_operator_poly,
     diff_matrix,
     differentiate_values,
@@ -94,6 +98,78 @@ class TestDiffMatrix:
             for k in range(p.n + 1):
                 via_matrix = lagrange_basis_row(p, x) @ z[:, k]
                 assert abs(basis_derivative(k, x) - via_matrix) <= 1e-10
+
+
+def chebyshev_lobatto_partition(n: int, a: float, b: float) -> Partition:
+    """Nodes (a + b)/2 - (b - a)/2 cos(pi i / n), i = 0..n."""
+    return Partition((a + b) / 2 - (b - a) / 2 * np.cos(np.pi * np.arange(n + 1) / n))
+
+
+@st.composite
+def partitions(draw):
+    """Jittered or Chebyshev-Lobatto partitions with n <= 12 on a drawn interval."""
+    n = draw(st.integers(1, 12))
+    a = draw(st.floats(-5.0, 5.0))
+    b = a + draw(st.sampled_from([1e-2, 0.5, 1.0, 3.0, 10.0]))
+    if draw(st.booleans()):
+        return chebyshev_lobatto_partition(n, a, b)
+    return jittered_partition(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, a, b)
+
+
+class TestDiffMatrixProperties:
+    """Exactness of Z on polynomials of degree <= n, judged as the benchmark's
+    ``diffmat`` check judges it: residual <= 1e-12 * norm_inf(Z) * max|x^j|."""
+
+    @given(p=partitions())
+    @settings(max_examples=80, deadline=None)
+    def test_annihilates_constants(self, p):
+        z = diff_matrix(p)
+        assert np.abs(z @ np.ones(p.n + 1)).max() <= 1e-12 * _norm_inf(z)
+
+    @given(p=partitions())
+    @settings(max_examples=80, deadline=None)
+    def test_differentiates_monomials_exactly(self, p):
+        z, x = diff_matrix(p), p.nodes
+        for j in range(p.n + 1):
+            v = x**j
+            expected = j * x ** (j - 1) if j else np.zeros_like(x)
+            residual = np.abs(z @ v - expected).max()
+            assert residual <= 1e-12 * _norm_inf(z) * np.abs(v).max(), j
+
+
+class TestDiffPowerPerPartition:
+    def test_read_only_repeated_and_exact(self):
+        p = jittered_partition(np.random.default_rng(16), 6)
+        z = diff_matrix(p)
+        for k in range(9):
+            power = _diff_power(p, k)
+            assert _diff_power(p, k) is power
+            assert not power.flags.writeable
+            np.testing.assert_array_equal(power, np.linalg.matrix_power(z, k))
+        np.testing.assert_array_equal(_diff_power(p, 0), np.eye(7))
+
+    def test_assemblers_store_and_reuse_powers(self):
+        p = jittered_partition(np.random.default_rng(17), 4)
+        apply_operator_poly([(1.0, 2), (1.0, 0)], p)
+        assert sorted(p._powers) == [0, 2]
+        stored = p._powers[2]
+        poly_operator_matrix([(1.0, (2, 1))], [p, p])
+        assert p._powers[2] is stored and sorted(p._powers) == [0, 1, 2]
+
+    def test_equal_partition_gets_its_own_powers(self):
+        nodes = np.array([0.0, 0.5, 2.0, 2.5])
+        first, second = Partition(nodes), Partition(nodes.copy())
+        assert _diff_power(first, 2) is not _diff_power(second, 2)
+        np.testing.assert_array_equal(_diff_power(first, 2), _diff_power(second, 2))
+
+    def test_overflowing_power_raises_each_call_and_is_not_stored(self):
+        # Z has entries of 1e200, so Z^2 overflows float64
+        p = Partition(np.array([0.0, 1e-200, 1.0]))
+        assert np.all(np.isfinite(diff_matrix(p)))
+        for _ in range(2):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+                apply_operator_poly([(1.0, 2)], p)
+        assert 2 not in p._powers
 
 
 class TestMultMatrix:
