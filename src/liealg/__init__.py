@@ -38,25 +38,21 @@ from .lifting import (
 from .linalg import (
     SingularSystemError,
     format_matrix,
-    kron,
     lu_solve,
     numerical_rank,
 )
 from .operators import (
     apply_operator_poly,
     diff_matrix,
-    differentiate_values,
     mult_matrix,
 )
 from .partitions import (
     Partition,
-    interpolate_1d,
     jittered_partition,
     pi_weights,
     read_partition,
     tensor_interpolate,
     uniform_partition,
-    write_partition,
 )
 
 __version__ = "0.1.0"

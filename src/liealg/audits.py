@@ -57,21 +57,20 @@ class AuditReport:
         return self.expected == self.observed
 
 
-def _is_power_zero(h: np.ndarray, power: np.ndarray, k: int, tol: float) -> bool:
-    """Norm-decay test for H^k == 0, scaled by norm(H)^k."""
-    return _norm_inf(power) <= tol * _norm_inf(h) ** k
+def _ranks(stack: np.ndarray, floors, rel_tol: float) -> list[int]:
+    """Numerical rank of each matrix of a stack.
 
-
-def _power_rank(h: np.ndarray, power: np.ndarray, k: int, rel_tol: float) -> int:
-    """Rank of H^k, classifying a norm-decayed power as the zero matrix.
-
-    The relative threshold of :func:`numerical_rank` is taken against the
-    power's own largest singular value, which can never certify rank 0 of a
-    round-off residue; the decay scale norm(H)^k can.
+    A matrix whose infinity norm is at most its floor has rank 0; every other
+    matrix gets its :func:`numerical_rank`, all from one batched SVD.  A floor
+    of 0.0 gives the plain rank; ``tol * norm(H) ** k`` gives the norm-decay
+    test for H^k.  The relative threshold of :func:`numerical_rank` is taken
+    against the matrix's own largest singular value, which can never certify
+    rank 0 of a round-off residue; the decay scale norm(H)^k can.
     """
-    if k > 0 and _is_power_zero(h, power, k, rel_tol):
-        return 0
-    return numerical_rank(power, rel_tol)
+    # a NaN norm stays live, so numerical_rank rejects it as non-finite
+    live = [not top <= floor for top, floor in zip(_norm_inf(stack).tolist(), floors)]
+    ranks = iter(numerical_rank(stack if all(live) else stack[live], rel_tol).tolist())
+    return [next(ranks) if alive else 0 for alive in live]
 
 
 def audit_diff_rank(p: Partition, rel_tol: float = 1e-8,
@@ -87,8 +86,8 @@ def audit_diff_rank(p: Partition, rel_tol: float = 1e-8,
 def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
     """:func:`audit_diff_rank` of each ``(partition, prefix)``, reports in case order.
 
-    Partitions of equal n are checked as one stack: one batched SVD, one
-    stacked matrix power and stacked norms per n.
+    Partitions of equal n are checked as one stack of Z and Z^(n+1): one
+    stacked matrix power and one :func:`_ranks` call per n.
     """
     for p, _ in cases:
         if p.n > MAX_LADDER_N:
@@ -102,16 +101,14 @@ def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
         zs = np.empty((len(group), n + 1, n + 1))
         for row, i in enumerate(group):
             zs[row] = diff_matrix(cases[i][0])
-        ranks = numerical_rank(zs, rel_tol)
-        # _is_power_zero's test per matrix, with its Python float power
-        # (a vectorized power may round the threshold differently)
-        nilpotent = [top <= NILPOTENCY_TOL * z ** (n + 1) for top, z in zip(
-            _norm_inf(np.linalg.matrix_power(zs, n + 1)).tolist(), _norm_inf(zs).tolist())]
+        floors = [NILPOTENCY_TOL * z ** (n + 1) for z in _norm_inf(zs).tolist()]
+        ranks = _ranks(np.concatenate([zs, np.linalg.matrix_power(zs, n + 1)]),
+                       [0.0] * len(group) + floors, rel_tol)
         for row, i in enumerate(group):
             prefix = cases[i][1]
             pairs[i] = (AuditReport(f"{prefix}rank[n={n}]", n, ranks[row], rel_tol),
-                        AuditReport(f"{prefix}nilpotent[n={n}]", True, nilpotent[row],
-                                    NILPOTENCY_TOL))
+                        AuditReport(f"{prefix}nilpotent[n={n}]", True,
+                                    ranks[len(group) + row] == 0, NILPOTENCY_TOL))
     return [report for pair in pairs for report in pair]
 
 
@@ -124,18 +121,20 @@ def audit_rank_ladder(h, rel_tol: float = 1e-8, prefix: str = "rank_ladder") -> 
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"rank ladder needs a square matrix, got shape {h.shape}")
     n = h.shape[0] - 1
-    if numerical_rank(h, rel_tol) != n:
+    # H^0 .. H^(n+1), then H^(n+1) once more for the nilpotency hypothesis
+    powers = np.empty((n + 3, n + 1, n + 1))
+    powers[0] = np.eye(n + 1)
+    for k in range(1, n + 2):
+        powers[k] = powers[k - 1] @ h
+    powers[n + 2] = powers[n + 1]
+    scale = _norm_inf(h)
+    ranks = _ranks(powers, [rel_tol * scale ** k for k in range(n + 2)]
+                   + [NILPOTENCY_TOL * scale ** (n + 1)], rel_tol)
+    if ranks[1] != n:
         raise ValueError(f"hypothesis failed: numerical rank of H is not {n}")
-    top = np.linalg.matrix_power(h, n + 1)
-    if not _is_power_zero(h, top, n + 1, NILPOTENCY_TOL):
+    if ranks[n + 2] != 0:
         raise ValueError(f"hypothesis failed: H^{n + 1} is not numerically zero")
-    reports = []
-    power = np.eye(n + 1)
-    for k in range(n + 2):
-        observed = _power_rank(h, power, k, rel_tol)
-        reports.append(AuditReport(f"{prefix}[k={k}]", n + 1 - k, observed, rel_tol))
-        power = power @ h
-    return reports
+    return [AuditReport(f"{prefix}[k={k}]", n + 1 - k, ranks[k], rel_tol) for k in range(n + 2)]
 
 
 def audit_nilpotent_poly_rank(b, coeffs, k: int, rel_tol: float = 1e-8) -> AuditReport:
@@ -144,9 +143,6 @@ def audit_nilpotent_poly_rank(b, coeffs, k: int, rel_tol: float = 1e-8) -> Audit
     dim = b.shape[0]
     if b.shape[1] != dim:
         raise ValueError("nilpotent input must be square")
-    top = np.linalg.matrix_power(b, dim)
-    if not _is_power_zero(b, top, dim, NILPOTENCY_TOL):
-        raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("need at least the coefficient a_k")
@@ -158,8 +154,12 @@ def audit_nilpotent_poly_rank(b, coeffs, k: int, rel_tol: float = 1e-8) -> Audit
     for c in coeffs:
         poly += c * power
         power = power @ b
-    expected = _power_rank(b, base, k, rel_tol)
-    observed = numerical_rank(poly, rel_tol)
+    scale = _norm_inf(b)
+    top, expected, observed = _ranks(
+        np.stack([np.linalg.matrix_power(b, dim), base, poly]),
+        [NILPOTENCY_TOL * scale ** dim, rel_tol * scale ** k, 0.0], rel_tol)
+    if top != 0:
+        raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
     name = f"nilpotent_poly_rank[k={k};m={k + coeffs.size - 1}]"
     return AuditReport(name, expected, observed, rel_tol)
 
@@ -196,7 +196,7 @@ def _lifted_poly_reports(cases, ps: list[Partition], rel_tol: float) -> list[Aud
     for i, terms in enumerate(cases):
         matrices[i] = poly_operator_matrix(terms, ps)
     reports = []
-    for terms, rank in zip(cases, numerical_rank(matrices, rel_tol)):
+    for terms, rank in zip(cases, _ranks(matrices, [0.0] * len(cases), rel_tol)):
         label = "+".join("{:g}z{}".format(c, "".join(str(int(x)) for x in e)) for c, e in terms)
         reports.append(AuditReport(f"lifted_poly_rank[{label}]", full_rank_predicate(terms, ps),
                                    rank == space.total, rel_tol))

@@ -153,7 +153,10 @@ def _resolve_dims(config: RunConfig) -> tuple[int, int]:
 def _partition_from_config(config: RunConfig) -> Partition:
     if config.nodes:
         if os.path.exists(config.nodes) and "," not in config.nodes:
-            return read_partition(config.nodes)
+            try:
+                return read_partition(config.nodes)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"bad node file {config.nodes}: {exc}") from exc
         try:
             values = [float(v) for v in config.nodes.split(",")]
         except ValueError as exc:

@@ -7,7 +7,6 @@ import numpy as np
 __all__ = [
     "SingularSystemError",
     "as_matrix",
-    "kron",
     "lu_factor",
     "lu_solve",
     "numerical_rank",
@@ -59,15 +58,6 @@ def _kron(factors) -> np.ndarray:
         shape = (out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
         out = (out[:, None, :, None] * f[None, :, None, :]).reshape(shape)
     return out
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product in the standard block form.
-
-    Entry at block (i, j), offset (k, l) equals ``a[i, j] * b[k, l]``;
-    the second factor's index varies fastest.
-    """
-    return _kron((as_matrix(b), as_matrix(a)))
 
 
 def _norm_inf(a: np.ndarray):

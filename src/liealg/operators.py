@@ -14,7 +14,6 @@ __all__ = [
     "diff_matrix",
     "mult_matrix",
     "apply_operator_poly",
-    "differentiate_values",
 ]
 
 
@@ -116,11 +115,3 @@ def apply_operator_poly(terms, p: Partition) -> np.ndarray:
     destroy full rank, so callers should watch the solver's condition estimate.
     """
     return _poly_matrix([(coeff, (order,)) for coeff, order in terms], [p])
-
-
-def differentiate_values(p: Partition, values) -> np.ndarray:
-    """Nodal derivatives of the interpolant of ``values`` (exact for degree <= n)."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (p.n + 1,):
-        raise ValueError(f"expected {p.n + 1} values, got shape {values.shape}")
-    return diff_matrix(p) @ values

@@ -24,10 +24,8 @@ __all__ = [
     "jittered_partition",
     "pi_weights",
     "lagrange_basis_row",
-    "interpolate_1d",
     "tensor_interpolate",
     "read_partition",
-    "write_partition",
 ]
 
 
@@ -115,14 +113,6 @@ def lagrange_basis_row(p: Partition, x: float) -> np.ndarray:
     return full / (diffs * pi_weights(p))
 
 
-def interpolate_1d(p: Partition, values, x: float) -> float:
-    """Evaluate the interpolant of the nodal values at x."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (p.n + 1,):
-        raise ValueError(f"expected {p.n + 1} values, got shape {values.shape}")
-    return float(lagrange_basis_row(p, x) @ values)
-
-
 def tensor_interpolate(ps: list[Partition], values, point) -> float:
     """Evaluate the tensor-product interpolant at a d-dimensional point.
 
@@ -138,13 +128,6 @@ def tensor_interpolate(ps: list[Partition], values, point) -> float:
         raise ValueError(f"expected {total} grid values, got shape {values.shape}")
     rows = [lagrange_basis_row(p, float(x))[None, :] for p, x in zip(ps, point)]
     return float(_kron(rows).ravel() @ values)
-
-
-def write_partition(path, p: Partition) -> None:
-    """One node per line, full precision."""
-    with open(path, "w") as fh:
-        for x in p.nodes:
-            fh.write(f"{x:.17g}\n")
 
 
 def read_partition(path) -> Partition:

@@ -6,15 +6,16 @@ from liealg.audits import (
     NILPOTENCY_TOL,
     AuditReport,
     _diff_rank_reports,
-    _is_power_zero,
     _lifted_poly_family,
     _lifted_poly_reports,
+    _ranks,
     audit_diff_rank,
     audit_lifted_poly_rank,
     audit_rank_ladder,
     audit_nilpotent_poly_rank,
     counterexample_det,
     default_suite,
+    random_poly_rank_case,
     reports_to_csv,
 )
 from liealg.lifting import poly_operator_matrix
@@ -27,6 +28,18 @@ P012 = Partition(np.array([0.0, 1.0, 2.0]))
 JORDAN2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
+def norm_inf(a):
+    return np.abs(a).sum(axis=1).max()
+
+
+def reference_power_rank(h, k, rel_tol, tol):
+    """Rank of H^k from a 2-D power; 0 once norm(H^k) <= tol * norm(H)^k (k > 0)."""
+    power = np.linalg.matrix_power(h, k)
+    if k > 0 and norm_inf(power) <= tol * norm_inf(h) ** k:
+        return 0
+    return numerical_rank(power, rel_tol)
+
+
 def reference_diff_rank(p, prefix, rel_tol=1e-8):
     """audit_diff_rank one matrix at a time: 2-D rank, 2-D power and norms."""
     n = p.n
@@ -34,7 +47,54 @@ def reference_diff_rank(p, prefix, rel_tol=1e-8):
     power = np.linalg.matrix_power(z, n + 1)
     return (AuditReport(f"{prefix}rank[n={n}]", n, numerical_rank(z, rel_tol), rel_tol),
             AuditReport(f"{prefix}nilpotent[n={n}]", True,
-                        _is_power_zero(z, power, n + 1, NILPOTENCY_TOL), NILPOTENCY_TOL))
+                        norm_inf(power) <= NILPOTENCY_TOL * norm_inf(z) ** (n + 1),
+                        NILPOTENCY_TOL))
+
+
+def reference_rank_ladder(h, rel_tol, prefix):
+    n = len(h) - 1
+    assert numerical_rank(h, rel_tol) == n
+    assert reference_power_rank(h, n + 1, rel_tol, NILPOTENCY_TOL) == 0
+    return [AuditReport(f"{prefix}[k={k}]", n + 1 - k, reference_power_rank(h, k, rel_tol, rel_tol),
+                        rel_tol) for k in range(n + 2)]
+
+
+def reference_nilpotent_poly_rank(b, coeffs, k, rel_tol):
+    assert reference_power_rank(b, len(b), rel_tol, NILPOTENCY_TOL) == 0
+    poly = sum(c * np.linalg.matrix_power(b, k + j) for j, c in enumerate(coeffs))
+    return AuditReport(f"nilpotent_poly_rank[k={k};m={k + len(coeffs) - 1}]",
+                       reference_power_rank(b, k, rel_tol, rel_tol),
+                       numerical_rank(poly, rel_tol), rel_tol)
+
+
+def reference_random_poly_rank_case(rng, rel_tol):
+    """random_poly_rank_case with the same draws, decided by the 2-D reference."""
+    n = int(rng.integers(2, 11))
+    z = diff_matrix(jittered_partition(rng, n))
+    b = z / np.linalg.svd(z, compute_uv=False)[0]
+    k = int(rng.integers(0, min(n, 4) + 1))
+    coeffs = rng.uniform(-2.0, 2.0, size=int(rng.integers(1, 5)))
+    if abs(coeffs[0]) < 0.25:
+        coeffs[0] = 0.25 if coeffs[0] >= 0 else -0.25
+    report = reference_nilpotent_poly_rank(b, coeffs, k, rel_tol)
+    return AuditReport(f"poly_rank_random[n={n};k={k}]", n + 1 - k, report.observed, rel_tol)
+
+
+class TestRanks:
+    def test_zero_floor_gives_plain_rank(self):
+        stack = np.stack([np.eye(3), np.diag([1.0, 1e-12, 0.0]), np.zeros((3, 3))])
+        assert _ranks(stack, [0.0] * 3, 1e-8) == [3, 1, 0]
+        assert _ranks(stack, [0.0] * 3, 1e-14) == [3, 2, 0]
+
+    def test_norm_at_or_below_floor_gives_rank_zero(self):
+        stack = np.stack([np.diag([1e-9, 0.0]), np.eye(2), np.diag([1e-9, 0.0])])
+        assert _ranks(stack, [1e-9, 0.0, np.nextafter(1e-9, 0.0)], 1e-8) == [0, 2, 1]
+        assert _ranks(stack, [1.0] * 3, 1e-8) == [0, 0, 0]
+
+    def test_non_finite_matrix_is_never_rank_zero(self):
+        stack = np.stack([np.zeros((2, 2)), np.full((2, 2), np.nan)])
+        with pytest.raises(ValueError, match="finite"):
+            _ranks(stack, [1.0, 1.0], 1e-8)
 
 
 class TestDiffRankAudit:
@@ -94,6 +154,16 @@ class TestRankLadder:
         names = [r.case_name for r in audit_diff_rank(P012, prefix="diff_random007_")]
         assert names == ["diff_random007_rank[n=2]", "diff_random007_nilpotent[n=2]"]
 
+    @pytest.mark.parametrize("seed", [42, 7, 1])
+    def test_equals_2d_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        inputs = [diff_matrix(P01), diff_matrix(P012), JORDAN2]
+        inputs += [diff_matrix(jittered_partition(rng, n)) for n in rng.integers(1, 7, size=10)]
+        for rel_tol in (1e-8, 1e-10):
+            for h in inputs:
+                assert audit_rank_ladder(h, rel_tol, "ladder") == reference_rank_ladder(
+                    h, rel_tol, "ladder")
+
     def test_rejects_full_rank_input(self):
         with pytest.raises(ValueError, match="nilpotent|rank"):
             audit_rank_ladder(np.eye(3))
@@ -116,6 +186,29 @@ class TestNilpotentPolyRankAudit:
     def test_scaled_counterexample_matrix(self):
         report = audit_nilpotent_poly_rank(COUNTEREXAMPLE_MATRIX, [3.0], 1)
         assert report.passed and report.observed == 1
+
+    @pytest.mark.parametrize("seed", [42, 7, 1])
+    def test_equals_2d_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        cases = [(diff_matrix(uniform_partition(0.0, 1.0, 4)), [1.0, 0.0, 1.0], 0),
+                 (diff_matrix(P012), [1.0], 2), (COUNTEREXAMPLE_MATRIX, [3.0], 1)]
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            z = diff_matrix(jittered_partition(rng, n))
+            coeffs = rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 2.0, size=rng.integers(1, 5))
+            cases.append((z / np.linalg.norm(z, 2), coeffs, int(rng.integers(0, n + 2))))
+        for rel_tol in (1e-8, 1e-10):
+            for b, coeffs, k in cases:
+                assert audit_nilpotent_poly_rank(b, coeffs, k, rel_tol) == (
+                    reference_nilpotent_poly_rank(b, coeffs, k, rel_tol))
+
+    @pytest.mark.parametrize("seed", [42, 7, 1])
+    def test_random_cases_equal_2d_reference(self, seed):
+        for rel_tol in (1e-8, 1e-10):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(50):
+                assert random_poly_rank_case(rng, rel_tol) == reference_random_poly_rank_case(
+                    reference_rng, rel_tol)
 
     def test_rejects_non_nilpotent(self):
         with pytest.raises(ValueError, match="nilpotent|zero"):

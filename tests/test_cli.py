@@ -38,6 +38,19 @@ class TestDiffmat:
         got = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
         np.testing.assert_array_equal(got, EXPECTED_Z012)
 
+    @pytest.mark.parametrize("content, reason", [
+        ("0\n2\n1\n", "strictly increasing"),
+        ("0\nabc\n1\n", "could not convert"),
+        ("0.5\n", "two nodes"),
+    ])
+    def test_bad_node_file_is_config_error(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "nodes.txt"
+        path.write_text(content)
+        status, out, err = run_cli(capsys, "diffmat", "--nodes", str(path))
+        assert status == 2 and out == ""
+        assert err.startswith(f"liealg: bad node file {path}: ") and reason in err
+        assert err.count("\n") == 1
+
     def test_non_finite_matrix_is_an_error(self, capsys, tmp_path):
         # 1001 uniform nodes on [-1, 1] overflow the pi-weights
         path = tmp_path / "nodes.txt"
@@ -153,6 +166,12 @@ class TestRankAudit:
         status, text = run(RunConfig("rank-audit", seed=seed))
         assert status == 0
         assert text.encode() == (DATA / f"rank_audit_seed{seed}.csv").read_bytes()
+
+    def test_non_default_tolerance_matches_golden_file(self):
+        # only a tolerance other than NILPOTENCY_TOL shows which rows print which
+        status, text = run(RunConfig("rank-audit", seed=42, rel_tol=1e-10))
+        assert status == 0
+        assert text.encode() == (DATA / "rank_audit_seed42_tol1e-10.csv").read_bytes()
 
 
 class TestPlotFigure1:

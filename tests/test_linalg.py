@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from liealg.bvp import _hyperbolic_system
 from liealg.linalg import (
     SingularSystemError,
+    _kron,
     format_matrix,
-    kron,
     lu_factor,
     lu_solve,
     numerical_rank,
@@ -24,6 +24,11 @@ def small_matrix(rows, cols):
 
 
 dims = st.integers(min_value=1, max_value=3)
+
+
+def kron(a, b):
+    """The standard two-factor Kronecker product through the package kernel."""
+    return _kron((np.asarray(b, dtype=float), np.asarray(a, dtype=float)))
 
 
 class TestKron:
