@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .lifting import _grid_coordinates, grid_eval, lifted_diff, poly_operator_matrix, realize
-from .linalg import lu_solve
+from .linalg import _format_rows, lu_solve
 from .operators import apply_operator_poly
 from .partitions import Partition, uniform_partition
 
@@ -190,7 +190,6 @@ def solve_hyperbolic(n1: int, n2: int) -> BvpReport:
 def format_surface(report: BvpReport) -> str:
     """Gridded ``x y u`` triples of a 2-D run, blank line between constant-y blocks."""
     px, py = report.partitions
-    grid = report.u_sigma.reshape(py.n + 1, px.n + 1)
-    blocks = ["\n".join(f"{x:.16e} {y:.16e} {u:.16e}" for x, u in zip(px.nodes, row))
-              for y, row in zip(py.nodes, grid)]
-    return "\n\n".join(blocks) + "\n"
+    x, y = _grid_coordinates([px, py])
+    xyu = np.column_stack((x, y, report.u_sigma)).reshape(py.n + 1, px.n + 1, 3)
+    return "\n\n".join([_format_rows(block) for block in xyu]) + "\n"

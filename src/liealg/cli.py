@@ -45,8 +45,16 @@ class RunConfig:
     seed: int = 42
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+# the RunConfig fields a --config file may set
+CONFIG_KEYS = ("nodes", "a", "b", "n", "n1", "n2", "out", "rel_tol",
+               "include_zero_endpoint", "seed")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_config_file(path: str) -> dict:
+    """Typed values of a ``key=value`` file; an unknown key or a bad value is an error."""
+    values: dict = {}
     try:
         with open(path) as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -56,22 +64,29 @@ def _parse_config_file(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key not in CONFIG_KEYS:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                values[key] = _coerce(key, value.strip(), f"{path}:{lineno}")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
-def _coerce(key: str, value: str):
+def _coerce(key: str, value: str, where: str):
     try:
         if key in ("n", "n1", "n2", "seed"):
             return int(value)
         if key in ("a", "b", "rel_tol"):
             return float(value)
-        if key == "include_zero_endpoint":
-            return value.lower() in ("1", "true", "yes", "on")
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key}: {value!r}") from exc
+        raise ConfigError(f"{where}: bad value for {key}: {value!r}") from exc
+    if key == "include_zero_endpoint":
+        flag = _BOOLEANS.get(value.lower())
+        if flag is None:
+            raise ConfigError(f"{where}: bad value for {key}: {value!r} "
+                              f"(expected one of {', '.join(_BOOLEANS)})")
+        return flag
     return value
 
 
@@ -120,13 +135,12 @@ def build_config(argv: list[str]) -> RunConfig:
             config.seed = int(seed_env)
         except ValueError as exc:
             raise ConfigError(f"LIEALG_SEED must be an integer, got {seed_env!r}") from exc
-    for key in ("nodes", "a", "b", "n", "n1", "n2", "out", "rel_tol",
-                "include_zero_endpoint", "seed"):
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             setattr(config, key, flag)
         elif key in file_values:
-            setattr(config, key, _coerce(key, file_values[key]))
+            setattr(config, key, file_values[key])
     _validate(config)
     return config
 
@@ -247,8 +261,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"liealg: {exc}", file=sys.stderr)
         return 1
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(output)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(output)
+        except OSError as exc:
+            print(f"liealg: cannot write {config.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return status

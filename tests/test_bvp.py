@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -229,3 +230,24 @@ def test_surface_format_blocks():
     x, y, u = (float(v) for v in first[0].split())
     assert (x, y) == (-1.0, -1.0)
     assert u == pytest.approx(report.u_sigma[0])
+
+
+def reference_surface(report):
+    """The per-triple f-string dump that the row-template kernel replaced."""
+    px, py = report.partitions
+    grid = report.u_sigma.reshape(py.n + 1, px.n + 1)
+    blocks = ["\n".join(f"{x:.16e} {y:.16e} {u:.16e}" for x, u in zip(px.nodes, row))
+              for y, row in zip(py.nodes, grid)]
+    return "\n\n".join(blocks) + "\n"
+
+
+@pytest.mark.parametrize("n1, n2", [(4, 9), (20, 5)])
+def test_surface_format_equals_per_triple_reference(n1, n2):
+    report = solve_hyperbolic(n1, n2)
+    assert format_surface(report) == reference_surface(report)
+    u = report.u_sigma.copy()
+    u[[0, 1, 2, -1]] = [np.nan, np.inf, -0.0, -np.inf]
+    odd = dataclasses.replace(report, u_sigma=u)
+    text = format_surface(odd)
+    assert text == reference_surface(odd)
+    assert " nan\n" in text and " inf\n" in text and text.endswith(" -inf\n")

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from liealg import bvp
-from liealg.cli import SINGULAR_STATUS, TABLE_HEADER, RunConfig, _table_row, main, run
+from liealg.cli import (
+    SINGULAR_STATUS,
+    TABLE_HEADER,
+    RunConfig,
+    _table_row,
+    build_config,
+    main,
+    run,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -65,6 +73,11 @@ class TestDiffmat:
         got = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
         np.testing.assert_array_equal(got, [[-1.0, 1.0], [-1.0, 1.0]])
 
+    def test_output_matches_golden_file(self):
+        status, text = run(RunConfig("diffmat", n=20))
+        assert status == 0
+        assert text.encode() == (DATA / "diffmat_n20.txt").read_bytes()
+
     def test_missing_partition_is_config_error(self, capsys):
         status, out, err = run_cli(capsys, "diffmat")
         assert status == 2
@@ -93,6 +106,17 @@ class TestTable1:
         status, out, _ = run_cli(capsys, "table1", "--out", str(path))
         assert status == 0 and out == ""
         assert path.read_text().startswith("method,n,E,Emax,Eavg,rcond\n")
+
+    def test_out_in_missing_directory_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "table.csv"
+        status, out, err = run_cli(capsys, "table1", "--out", str(path))
+        assert status == 2 and out == ""
+        assert err == f"liealg: cannot write {path}: No such file or directory\n"
+
+    def test_out_naming_a_directory_is_config_error(self, capsys, tmp_path):
+        status, out, err = run_cli(capsys, "diffmat", "--n", "3", "--out", str(tmp_path))
+        assert status == 2 and out == ""
+        assert err.startswith(f"liealg: cannot write {tmp_path}: ") and err.count("\n") == 1
 
 
 class TestTable3:
@@ -185,8 +209,35 @@ class TestPlotFigure1:
             ys = {line.split()[1] for line in block.splitlines()}
             assert len(ys) == 1  # constant y within a block
 
+    def test_output_matches_golden_file(self):
+        status, text = run(RunConfig("plot-figure1", n1=10, n2=10))
+        assert status == 0
+        assert text.encode() == (DATA / "plot_figure1_10x10.dat").read_bytes()
+
 
 class TestConfigFile:
+    def test_unknown_key_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n1=5\nnn=3\n")
+        status, out, err = run_cli(capsys, "table3", "--config", str(cfg))
+        assert status == 2 and out == ""
+        assert err == f"liealg: {cfg}:2: unknown key 'nn'\n"
+
+    def test_bad_boolean_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("include_zero_endpoint=maybe\n")
+        status, out, err = run_cli(capsys, "table1", "--config", str(cfg))
+        assert status == 2 and out == ""
+        assert err.startswith(f"liealg: {cfg}:1: bad value for include_zero_endpoint: 'maybe'")
+
+    @pytest.mark.parametrize("value, flag", [("yes", True), ("On", True), ("0", False),
+                                             ("false", False)])
+    def test_boolean_words(self, tmp_path, value, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"include-zero-endpoint={value}\n")
+        config = build_config(["table1", "--config", str(cfg)])
+        assert config.include_zero_endpoint is flag
+
     def test_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nn1=5\nn2=5\n")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from liealg.bvp import _hyperbolic_system
 from liealg.linalg import (
     SingularSystemError,
+    _format_rows,
     _kron,
     format_matrix,
     lu_factor,
@@ -266,3 +267,43 @@ def test_format_matrix_round_trips_17_digits():
     text = format_matrix(a)
     parsed = np.array([[float(v) for v in line.split()] for line in text.splitlines()])
     np.testing.assert_array_equal(parsed, a)
+
+
+def reference_format(a):
+    """The per-entry f-string dump that the row-template kernel replaced."""
+    return "\n".join(" ".join(f"{v:.16e}" for v in row) for row in np.asarray(a, dtype=float))
+
+
+# signed zeros, subnormals, the normal range's ends and integer-valued floats
+SPECIAL_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308,
+                   1e300, -1e300, 1.7976931348623157e308, 1.0, -3.0, 12345678.0, 2.0**53]
+entries = st.one_of(
+    st.sampled_from(SPECIAL_ENTRIES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**9, 10**9).map(float),
+)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_format_matrix_equals_per_entry_reference(rows, cols, data):
+    values = data.draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    a = np.array(values).reshape(rows, cols)
+    assert format_matrix(a) == reference_format(a)
+
+
+def test_format_matrix_special_entries_and_integer_input():
+    a = np.array(SPECIAL_ENTRIES[:12]).reshape(3, 4)
+    text = format_matrix(a)
+    assert text == reference_format(a)
+    assert "-0.0000000000000000e+00" in text and "4.9406564584124654e-324" in text
+    assert format_matrix(a.T) == reference_format(a.T)  # a transposed view, rows in order
+    assert format_matrix(np.array([[1, -2], [0, 7]])) == reference_format([[1, -2], [0, 7]])
+
+
+def test_format_kernel_prints_non_finite_values():
+    rows = np.array([[np.nan, np.inf], [-np.inf, -0.0]])
+    assert _format_rows(rows) == "nan inf\n-inf -0.0000000000000000e+00"
+    assert _format_rows(rows) == reference_format(rows)
+    with pytest.raises(ValueError, match="finite"):
+        format_matrix(rows)
