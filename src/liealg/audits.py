@@ -17,8 +17,8 @@ import numpy as np
 
 from .lifting import full_rank_predicate, poly_operator_matrix, space_of
 from .linalg import _norm_inf, as_matrix, numerical_rank
-from .operators import diff_matrix
-from .partitions import Partition, jittered_partition, uniform_partition
+from .operators import _diff_matrices, diff_matrix
+from .partitions import Partition, _check_nodes, _jittered_nodes, uniform_partition
 
 __all__ = [
     "AuditReport",
@@ -80,27 +80,24 @@ def audit_diff_rank(p: Partition, rel_tol: float = 1e-8,
     The two case names are ``prefix`` followed by ``rank[n=..]`` and
     ``nilpotent[n=..]``.
     """
-    return tuple(_diff_rank_reports([(p, prefix)], rel_tol))
+    return tuple(_diff_rank_reports([(p.nodes, prefix)], rel_tol))
 
 
 def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
-    """:func:`audit_diff_rank` of each ``(partition, prefix)``, reports in case order.
+    """:func:`audit_diff_rank` of each ``(nodes, prefix)``, reports in case order.
 
-    Partitions of equal n are checked as one stack of Z and Z^(n+1): one
-    stacked matrix power and one :func:`_ranks` call per n.
+    Rows of equal n are checked as one stack of Z and Z^(n+1): one stacked
+    matrix power and one :func:`_ranks` call per n.
     """
-    for p, _ in cases:
-        if p.n > MAX_LADDER_N:
+    for nodes, _ in cases:
+        if nodes.size - 1 > MAX_LADDER_N:
             raise ValueError(
-                f"conditioning guard: n={p.n} exceeds {MAX_LADDER_N}; beyond this the "
-                "differentiation matrix is too ill-conditioned for float64 rank "
+                f"conditioning guard: n={nodes.size - 1} exceeds {MAX_LADDER_N}; beyond this "
+                "the differentiation matrix is too ill-conditioned for float64 rank "
                 "checks (exact-arithmetic verification is out of scope)")
     pairs: list = [None] * len(cases)
-    for n in sorted({p.n for p, _ in cases}):
-        group = [i for i, (p, _) in enumerate(cases) if p.n == n]
-        zs = np.empty((len(group), n + 1, n + 1))
-        for row, i in enumerate(group):
-            zs[row] = diff_matrix(cases[i][0])
+    for group, zs in _z_stacks([nodes for nodes, _ in cases]):
+        n = zs.shape[-1] - 1
         floors = [NILPOTENCY_TOL * z ** (n + 1) for z in _norm_inf(zs).tolist()]
         ranks = _ranks(np.concatenate([zs, np.linalg.matrix_power(zs, n + 1)]),
                        [0.0] * len(group) + floors, rel_tol)
@@ -110,6 +107,15 @@ def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
                         AuditReport(f"{prefix}nilpotent[n={n}]", True,
                                     ranks[len(group) + row] == 0, NILPOTENCY_TOL))
     return [report for pair in pairs for report in pair]
+
+
+def _z_stacks(node_rows):
+    """``(row indices, their Z stack)`` for each node count, from one checked stack."""
+    for size in sorted({nodes.size for nodes in node_rows}):
+        group = [i for i, nodes in enumerate(node_rows) if nodes.size == size]
+        stack = np.stack([node_rows[i] for i in group])
+        _check_nodes(stack, ndim=2)
+        yield group, _diff_matrices(stack)
 
 
 def audit_rank_ladder(h, rel_tol: float = 1e-8, prefix: str = "rank_ladder") -> list[AuditReport]:
@@ -148,20 +154,30 @@ def audit_nilpotent_poly_rank(b, coeffs, k: int, rel_tol: float = 1e-8) -> Audit
         raise ValueError("need at least the coefficient a_k")
     if coeffs[0] == 0.0:
         raise ValueError("lowest-order coefficient a_k must be nonzero")
-    base = np.linalg.matrix_power(b, k)
-    poly = np.zeros_like(b)
-    power = base
-    for c in coeffs:
-        poly += c * power
-        power = power @ b
-    scale = _norm_inf(b)
-    top, expected, observed = _ranks(
-        np.stack([np.linalg.matrix_power(b, dim), base, poly]),
-        [NILPOTENCY_TOL * scale ** dim, rel_tol * scale ** k, 0.0], rel_tol)
-    if top != 0:
-        raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
+    expected, observed = _poly_ranks([(b, coeffs, k)], rel_tol)[0]
     name = f"nilpotent_poly_rank[k={k};m={k + coeffs.size - 1}]"
     return AuditReport(name, expected, observed, rel_tol)
+
+
+def _poly_ranks(cases, rel_tol: float) -> list[tuple[int, int]]:
+    """``(rank B^k, rank(a_k B^k + ... + a_m B^m))`` of each ``(B, coeffs, k)``, all B
+    of one size, from one :func:`_ranks` call that also checks each B^dim == 0."""
+    matrices, floors = [], []
+    for b, coeffs, k in cases:
+        dim = b.shape[0]
+        base = np.linalg.matrix_power(b, k)
+        poly = np.zeros_like(b)
+        power = base
+        for c in coeffs:
+            poly += c * power
+            power = power @ b
+        scale = _norm_inf(b)
+        matrices += [np.linalg.matrix_power(b, dim), base, poly]
+        floors += [NILPOTENCY_TOL * scale ** dim, rel_tol * scale ** k, 0.0]
+    ranks = _ranks(np.stack(matrices), floors, rel_tol)
+    if any(ranks[::3]):
+        raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
+    return list(zip(ranks[1::3], ranks[2::3]))
 
 
 # Fixed 2x2 nilpotent matrix of the variable-coefficient counterexample:
@@ -210,16 +226,31 @@ def random_poly_rank_case(rng: np.random.Generator, rel_tol: float) -> AuditRepo
     norm; this keeps the sampled polynomial's terms comparably scaled, which
     is what makes the float64 rank observation decisive.
     """
-    n = int(rng.integers(2, 11))
-    p = jittered_partition(rng, n)
-    z = diff_matrix(p)
-    b = z / np.linalg.svd(z, compute_uv=False)[0]
-    k = int(rng.integers(0, min(n, 4) + 1))
-    coeffs = rng.uniform(-2.0, 2.0, size=int(rng.integers(1, 5)))
-    if abs(coeffs[0]) < 0.25:
-        coeffs[0] = 0.25 if coeffs[0] >= 0 else -0.25
-    report = audit_nilpotent_poly_rank(b, coeffs, k, rel_tol)
-    return AuditReport(f"poly_rank_random[n={n};k={k}]", n + 1 - k, report.observed, rel_tol)
+    return _random_poly_reports(rng, 1, rel_tol)[0]
+
+
+def _random_poly_reports(rng: np.random.Generator, count: int,
+                         rel_tol: float) -> list[AuditReport]:
+    """``count`` calls of :func:`random_poly_rank_case`, with the same draws and reports:
+    every case is drawn first, then the cases of equal n are decided as one stack."""
+    draws = []
+    for _ in range(count):
+        n = int(rng.integers(2, 11))
+        nodes = _jittered_nodes(rng, n)
+        k = int(rng.integers(0, min(n, 4) + 1))
+        coeffs = rng.uniform(-2.0, 2.0, size=int(rng.integers(1, 5)))
+        if abs(coeffs[0]) < 0.25:
+            coeffs[0] = 0.25 if coeffs[0] >= 0 else -0.25
+        draws.append((nodes, coeffs, k))
+    reports: list = [None] * count
+    for group, zs in _z_stacks([nodes for nodes, _, _ in draws]):
+        n = zs.shape[-1] - 1
+        bs = zs / np.linalg.svd(zs, compute_uv=False)[:, :1, None]
+        ranks = _poly_ranks([(b, *draws[i][1:]) for b, i in zip(bs, group)], rel_tol)
+        for i, (_, observed) in zip(group, ranks):
+            k = draws[i][2]
+            reports[i] = AuditReport(f"poly_rank_random[n={n};k={k}]", n + 1 - k, observed, rel_tol)
+    return reports
 
 
 def _lifted_poly_family():
@@ -236,13 +267,11 @@ def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     rng = np.random.default_rng(seed)
     reports: list[AuditReport] = []
 
-    diff_cases = [(Partition(np.array([0.0, 1.0])), "diff_"),
-                  (Partition(np.array([0.0, 1.0, 2.0])), "diff_")]
+    diff_cases = [(np.array([0.0, 1.0]), "diff_"), (np.array([0.0, 1.0, 2.0]), "diff_")]
     for t in range(100):
         n = int(rng.integers(2, 11))
-        diff_cases.append((jittered_partition(rng, n), f"diff_random{t:03d}_"))
+        diff_cases.append((_jittered_nodes(rng, n), f"diff_random{t:03d}_"))
     reports += _diff_rank_reports(diff_cases, rel_tol)
-    del diff_cases  # frees the partitions and their Z before the larger stacks below
 
     for label, h in (
         ("z01", diff_matrix(Partition(np.array([0.0, 1.0])))),
@@ -256,8 +285,7 @@ def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     reports.append(audit_nilpotent_poly_rank(
         diff_matrix(Partition(np.array([0.0, 1.0, 2.0]))), [1.0], 2, rel_tol))
     reports.append(audit_nilpotent_poly_rank(COUNTEREXAMPLE_MATRIX, [3.0], 1, rel_tol))
-    for _ in range(50):
-        reports.append(random_poly_rank_case(rng, rel_tol))
+    reports += _random_poly_reports(rng, 50, rel_tol)
 
     grid_a, grid_b = np.meshgrid(np.linspace(-2.0, 2.0, 20), np.linspace(-2.0, 2.0, 20),
                                  indexing="ij")

@@ -27,9 +27,16 @@ class SingularSystemError(RuntimeError):
         super().__init__(message or f"singular system: no usable pivot at step {pivot_index}")
 
 
+def _as_real(a) -> np.ndarray:
+    """``a`` as a float array; complex input is an error, never silently truncated."""
+    if np.iscomplexobj(a):
+        raise ValueError("entries must be real, got complex input")
+    return np.asarray(a, dtype=float)
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a 2-D float array with finite entries."""
-    m = np.asarray(a, dtype=float)
+    m = _as_real(a)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -38,7 +45,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_vector(a) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
+    m = _as_real(a)
     if m.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -139,7 +146,7 @@ def numerical_rank(a, rel_tol: float = 1e-8):
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    a = np.asarray(a, dtype=float)
+    a = _as_real(a)
     if a.ndim == 3:
         if a.shape[1] < 1 or a.shape[2] < 1:
             raise ValueError(f"expected a stack of matrices, got shape {a.shape}")

@@ -8,7 +8,7 @@ from operator import index
 import numpy as np
 
 from .linalg import _kron, as_matrix
-from .partitions import Partition, pi_weights
+from .partitions import Partition, _pi_weights
 
 __all__ = [
     "diff_matrix",
@@ -35,20 +35,27 @@ def diff_matrix(p: Partition) -> np.ndarray:
     The matrix is built once per partition and stored on it, read-only; later
     calls return the same array.  A failure is not stored, so it repeats.
     """
-    if p._diff is not None:
-        return p._diff
-    x = p.nodes
+    if p._diff is None:
+        z = _diff_matrices(p.nodes[None])[0]
+        z.flags.writeable = False
+        object.__setattr__(p, "_diff", z)
+    return p._diff
+
+
+def _diff_matrices(nodes: np.ndarray) -> np.ndarray:
+    """The :func:`diff_matrix` of each row of a ``(B, m)`` node stack, as ``(B, m, m)``: the
+    one formula for Z.  A row's matrix is the same, bit for bit, whatever rows share its
+    stack.  The rows must pass the checks of :class:`Partition`."""
+    m = nodes.shape[-1]
     with np.errstate(all="ignore"):
-        pi = pi_weights(p)
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, np.inf)
-        z = (pi[:, None] / pi[None, :]) / diff
-        np.fill_diagonal(z, (1.0 / diff).sum(axis=1))
+        pi = _pi_weights(nodes)
+        diff = nodes[:, :, None] - nodes[:, None, :]
+        diff.reshape(-1, m * m)[:, ::m + 1] = np.inf  # the diagonal of each matrix
+        z = (pi[:, :, None] / pi[:, None, :]) / diff
+        z.reshape(-1, m * m)[:, ::m + 1] = (1.0 / diff).sum(axis=-1)
     if not np.all(np.isfinite(z)):
-        raise ValueError(f"differentiation matrix of {x.size} nodes is not finite: "
+        raise ValueError(f"differentiation matrix of {m} nodes is not finite: "
                          "the pi-weights overflow or underflow float64")
-    z.flags.writeable = False
-    object.__setattr__(p, "_diff", z)
     return z
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import _kron
+from .linalg import _as_real, _kron
 
 __all__ = [
     "Partition",
@@ -40,13 +40,8 @@ class Partition:
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float).copy()
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("a partition needs at least two nodes")
-        if not np.all(np.isfinite(nodes)):
-            raise ValueError("partition nodes must be finite")
-        if not np.all(np.diff(nodes) > 0):
-            raise ValueError("partition nodes must be strictly increasing")
+        nodes = _as_real(self.nodes).copy()
+        _check_nodes(nodes)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
@@ -62,6 +57,16 @@ class Partition:
     def n(self) -> int:
         """Number of subintervals (one less than the node count)."""
         return self.nodes.size - 1
+
+
+def _check_nodes(nodes: np.ndarray, ndim: int = 1) -> None:
+    """The checks of :class:`Partition`, on one row of nodes or (``ndim=2``) a stack."""
+    if nodes.ndim != ndim or nodes.shape[-1] < 2:
+        raise ValueError("a partition needs at least two nodes")
+    if not np.all(np.isfinite(nodes)):
+        raise ValueError("partition nodes must be finite")
+    if not np.all(np.diff(nodes) > 0):
+        raise ValueError("partition nodes must be strictly increasing")
 
 
 def uniform_partition(a: float, b: float, n: int) -> Partition:
@@ -83,25 +88,38 @@ def jittered_partition(rng: np.random.Generator, n: int, a: float = 0.0,
     float64.  (Sorting i.i.d. uniform draws instead produces occasional node
     clusters whose differentiation matrices defeat any fixed tolerance.)
     """
+    return Partition(_jittered_nodes(rng, n, a, b, max_shift))
+
+
+def _jittered_nodes(rng: np.random.Generator, n: int, a: float = 0.0, b: float = 1.0,
+                    max_shift: float = 0.3) -> np.ndarray:
+    """The nodes of :func:`jittered_partition`, from the same draws, unchecked."""
     if not 0.0 <= max_shift < 0.5:
         raise ValueError("max_shift must lie in [0, 0.5)")
     h = (b - a) / n
     nodes = a + h * np.arange(n + 1, dtype=float)
     nodes[1:-1] += h * rng.uniform(-max_shift, max_shift, size=max(n - 1, 0))
     nodes[-1] = b
-    return Partition(nodes)
+    return nodes
 
 
 def pi_weights(p: Partition) -> np.ndarray:
     """Weights pi_k = prod_{m != k} (x_k - x_m), computed by direct product."""
-    x = p.nodes
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return diff.prod(axis=1)
+    return _pi_weights(p.nodes)
+
+
+def _pi_weights(nodes: np.ndarray) -> np.ndarray:
+    """pi-weights of each row of a ``(..., m)`` node array: the one pi formula."""
+    m = nodes.shape[-1]
+    diff = nodes[..., :, None] - nodes[..., None, :]
+    diff.reshape(-1, m * m)[:, ::m + 1] = 1.0  # the diagonal of each matrix
+    return diff.prod(axis=-1)
 
 
 def lagrange_basis_row(p: Partition, x: float) -> np.ndarray:
-    """All basis values (l_0(x), ..., l_n(x)) at once."""
+    """All basis values (l_0(x), ..., l_n(x)) at once; ``x`` must be finite."""
+    if not np.isfinite(x):
+        raise ValueError(f"interpolation point must be finite, got {x}")
     nodes = p.nodes
     diffs = x - nodes
     hit = np.flatnonzero(diffs == 0.0)
@@ -119,10 +137,10 @@ def tensor_interpolate(ps: list[Partition], values, point) -> float:
     ``values`` is ordered with the dimension-1 index varying fastest, matching
     the grid linearization used throughout (see :mod:`liealg.lifting`).
     """
-    point = np.asarray(point, dtype=float)
+    point = _as_real(point)
     if point.shape != (len(ps),):
         raise ValueError(f"expected a point of dimension {len(ps)}, got shape {point.shape}")
-    values = np.asarray(values, dtype=float)
+    values = _as_real(values)
     total = np.prod([p.n + 1 for p in ps])
     if values.shape != (total,):
         raise ValueError(f"expected {total} grid values, got shape {values.shape}")

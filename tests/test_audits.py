@@ -8,6 +8,7 @@ from liealg.audits import (
     _diff_rank_reports,
     _lifted_poly_family,
     _lifted_poly_reports,
+    _random_poly_reports,
     _ranks,
     audit_diff_rank,
     audit_lifted_poly_rank,
@@ -118,7 +119,14 @@ class TestDiffRankAudit:
         with pytest.raises(ValueError, match="conditioning guard"):
             audit_diff_rank(uniform_partition(0, 1, 13))
         with pytest.raises(ValueError, match="conditioning guard"):
-            _diff_rank_reports([(P01, "a_"), (uniform_partition(0, 1, 13), "b_")], 1e-8)
+            _diff_rank_reports([(P01.nodes, "a_"), (uniform_partition(0, 1, 13).nodes, "b_")],
+                               1e-8)
+
+    def test_node_rows_get_partition_checks(self):
+        for nodes, match in ((np.array([0.0, 2.0, 1.0]), "increasing"),
+                             (np.array([0.0, np.nan, 1.0]), "finite")):
+            with pytest.raises(ValueError, match=match):
+                _diff_rank_reports([(P012.nodes, "a_"), (nodes, "b_")], 1e-8)
 
     @pytest.mark.parametrize("seed", [42, 7, 1])
     def test_stacked_reports_equal_per_partition_loop(self, seed):
@@ -128,7 +136,7 @@ class TestDiffRankAudit:
             n = int(rng.integers(2, 11))
             cases.append((jittered_partition(rng, n), f"diff_random{t:03d}_"))
         expected = [r for p, prefix in cases for r in reference_diff_rank(p, prefix)]
-        assert _diff_rank_reports(cases, 1e-8) == expected
+        assert _diff_rank_reports([(p.nodes, prefix) for p, prefix in cases], 1e-8) == expected
         assert [r for p, prefix in cases for r in audit_diff_rank(p, 1e-8, prefix)] == expected
 
 
@@ -209,6 +217,16 @@ class TestNilpotentPolyRankAudit:
             for _ in range(50):
                 assert random_poly_rank_case(rng, rel_tol) == reference_random_poly_rank_case(
                     reference_rng, rel_tol)
+
+    @pytest.mark.parametrize("seed", [42, 7, 1])
+    def test_stacked_family_equals_per_case_calls(self, seed):
+        for rel_tol in (1e-8, 1e-10):
+            rng, per_case_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            reports = _random_poly_reports(rng, 50, rel_tol)
+            assert reports == [reference_random_poly_rank_case(per_case_rng, rel_tol)
+                               for _ in range(50)]
+            assert rng.bit_generator.state == per_case_rng.bit_generator.state
+            assert len({r.case_name for r in reports}) > 10  # several n and k per stack
 
     def test_rejects_non_nilpotent(self):
         with pytest.raises(ValueError, match="nilpotent|zero"):

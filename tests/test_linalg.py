@@ -8,6 +8,8 @@ from liealg.linalg import (
     SingularSystemError,
     _format_rows,
     _kron,
+    as_matrix,
+    as_vector,
     format_matrix,
     lu_factor,
     lu_solve,
@@ -197,6 +199,28 @@ class TestLuSolve:
             bound = 1e-10 * (np.abs(a).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
             assert residual <= bound
             assert 0.0 < rcond <= 1.0
+
+
+class TestComplexInput:
+    """A cast to float would drop the imaginary parts with only a ComplexWarning."""
+
+    def test_as_matrix_rejects(self):
+        with pytest.raises(ValueError, match="complex"):
+            as_matrix(np.array([[1.0 + 2.0j]]))
+        with pytest.raises(ValueError, match="complex"):
+            as_matrix([[1.0, 2.0 + 0.0j]])
+
+    def test_as_vector_rejects(self):
+        with pytest.raises(ValueError, match="complex"):
+            as_vector(np.array([1.0, 1.0j]))
+
+    def test_numerical_rank_rejects(self):
+        with pytest.raises(ValueError, match="complex"):
+            numerical_rank(np.eye(2) * 1.0j)
+
+    def test_real_input_is_unchanged(self):
+        np.testing.assert_array_equal(as_matrix([[1, 2]]), np.array([[1.0, 2.0]]))
+        assert as_vector(np.arange(3)).dtype == float
 
 
 def reference_rank(a, rel_tol):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from liealg.lifting import poly_operator_matrix
 from liealg.linalg import _norm_inf, numerical_rank
 from liealg.operators import (
+    _diff_matrices,
     _diff_power,
     apply_operator_poly,
     diff_matrix,
@@ -113,6 +114,46 @@ def partitions(draw):
     if draw(st.booleans()):
         return chebyshev_lobatto_partition(n, a, b)
     return jittered_partition(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, a, b)
+
+
+def reference_diff_matrix(x):
+    """The closed form of Z for one node row, one matrix at a time."""
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    pi = diff.prod(axis=1)
+    np.fill_diagonal(diff, np.inf)
+    z = (pi[:, None] / pi[None, :]) / diff
+    np.fill_diagonal(z, (1.0 / diff).sum(axis=1))
+    return z
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestDiffMatrices:
+    """The stacked Z kernel against the per-partition closed form, bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_rows_and_stacks_equal_per_partition_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        rows = [uniform_partition(0.0, 1.0, n).nodes, uniform_partition(-1.0, 1.0, n).nodes,
+                chebyshev_lobatto_partition(n, -1.0, 1.0).nodes,
+                chebyshev_lobatto_partition(n, 0.0, 3.0).nodes]
+        rows += [jittered_partition(rng, n, -2.0, 1.0).nodes for _ in range(6)]
+        stack = _diff_matrices(np.stack(rows))
+        assert stack.shape == (len(rows), n + 1, n + 1)
+        for x, z in zip(rows, stack):
+            reference = reference_diff_matrix(x)
+            assert_same_bits(z, reference)
+            assert_same_bits(_diff_matrices(x[None])[0], reference)
+            assert_same_bits(diff_matrix(Partition(x)), reference)
+
+    def test_non_finite_row_raises(self):
+        rows = np.stack([np.linspace(-1.0, 1.0, 1001), np.linspace(0.0, 1000.0, 1001)])
+        with pytest.raises(ValueError, match="1001 nodes is not finite"):
+            _diff_matrices(rows)
 
 
 class TestDiffMatrixProperties:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from liealg.partitions import (
     Partition,
+    _check_nodes,
     jittered_partition,
     lagrange_basis_row,
     pi_weights,
@@ -24,6 +25,23 @@ class TestPartition:
             Partition(np.array([1.0]))
         with pytest.raises(ValueError, match="finite"):
             Partition(np.array([0.0, np.inf]))
+
+    def test_rejects_complex_nodes(self):
+        # a cast to float would keep [0.0, 1.0] and drop the imaginary parts
+        with pytest.raises(ValueError, match="complex"):
+            Partition(np.array([0.0, 1.0 + 2.0j]))
+        with pytest.raises(ValueError, match="complex"):
+            Partition([0.0, 1.0 + 0.0j])
+
+    def test_stack_gets_the_same_checks(self):
+        _check_nodes(np.array([[0.0, 1.0], [-1.0, 5.0]]), ndim=2)
+        for stack, match in (
+                (np.array([[0.0, 1.0], [1.0, 0.0]]), "increasing"),
+                (np.array([[0.0, 1.0], [0.0, np.nan]]), "finite"),
+                (np.array([[0.0], [1.0]]), "two nodes"),
+                (np.array([0.0, 1.0]), "two nodes")):
+            with pytest.raises(ValueError, match=match):
+                _check_nodes(stack, ndim=2)
 
     def test_endpoints_and_size(self):
         p = Partition(np.array([-1.0, 0.5, 2.0]))
@@ -64,6 +82,26 @@ def test_jittered_partition_is_valid(n, seed):
     assert gaps.min() >= 0.4 * h - 1e-12 and gaps.max() <= 1.6 * h + 1e-12
 
 
+# nodes of the jittered partitions of fixed seeds, as first drawn
+JITTERED_NODES = {
+    (0, 4, 0.0, 1.0): [0.0, 0.27054425309821817, 0.4654680070645805, 0.6811460285904292, 1.0],
+    (7, 6, -2.0, 3.0): [-2.0, -1.104118933364333, -0.1347264328485455, 0.6378428451225967,
+                        1.1959369283286294, 2.0667498091222796, 3.0],
+    (42, 1, 0.0, 1.0): [0.0, 1.0],
+}
+
+
+@pytest.mark.parametrize("key", sorted(JITTERED_NODES))
+def test_jittered_nodes_unchanged_for_fixed_seeds(key):
+    seed, n, a, b = key
+    rng = np.random.default_rng(seed)
+    np.testing.assert_array_equal(jittered_partition(rng, n, a, b).nodes, JITTERED_NODES[key])
+    # the generator advanced by exactly the n - 1 interior shifts
+    reference = np.random.default_rng(seed)
+    reference.uniform(size=max(n - 1, 0))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 class TestPiWeights:
     @pytest.mark.parametrize("nodes,expected", [
         ([0.0, 1.0], [-1.0, 1.0]),
@@ -102,6 +140,26 @@ class TestLagrangeEval:
 def interpolate_1d(p, values, x):
     """The 1-D interpolant, as the one-dimensional tensor interpolant."""
     return tensor_interpolate([p], values, [x])
+
+
+class TestNonFinitePoint:
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_basis_row_rejects(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            lagrange_basis_row(Partition(np.array([0.0, 1.0, 2.0])), x)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_tensor_interpolate_rejects(self, x):
+        ps = [Partition(np.array([0.0, 1.0])), Partition(np.array([0.0, 1.0]))]
+        with pytest.raises(ValueError, match="finite"):
+            tensor_interpolate(ps, np.ones(4), [0.5, x])
+
+    def test_tensor_interpolate_rejects_complex_input(self):
+        ps = [Partition(np.array([0.0, 1.0])), Partition(np.array([0.0, 1.0]))]
+        with pytest.raises(ValueError, match="complex"):
+            tensor_interpolate(ps, np.ones(4), [0.5, 0.5 + 1.0j])
+        with pytest.raises(ValueError, match="complex"):
+            tensor_interpolate(ps, np.ones(4) * 1.0j, [0.5, 0.5])
 
 
 class TestInterpolate1D:
