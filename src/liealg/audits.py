@@ -16,7 +16,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .lifting import full_rank_predicate, poly_operator_matrix, space_of
-from .linalg import _norm_inf, as_matrix, numerical_rank
+from .linalg import _as_real, _norm_inf, as_matrix, numerical_rank
 from .operators import _diff_matrices, diff_matrix
 from .partitions import Partition, _check_nodes, _jittered_nodes, uniform_partition
 
@@ -49,8 +49,9 @@ class AuditReport:
         # normalize numpy scalars so formatting and equality are plain Python
         for field in ("expected", "observed"):
             value = getattr(self, field)
-            object.__setattr__(self, field, bool(value) if isinstance(
-                value, (bool, np.bool_)) else int(value))
+            if type(value) is not int and type(value) is not bool:
+                object.__setattr__(self, field, bool(value) if isinstance(
+                    value, np.bool_) else int(value))
 
     @property
     def passed(self) -> bool:
@@ -149,35 +150,48 @@ def audit_nilpotent_poly_rank(b, coeffs, k: int, rel_tol: float = 1e-8) -> Audit
     dim = b.shape[0]
     if b.shape[1] != dim:
         raise ValueError("nilpotent input must be square")
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = _as_real(coeffs)
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("need at least the coefficient a_k")
     if coeffs[0] == 0.0:
         raise ValueError("lowest-order coefficient a_k must be nonzero")
-    expected, observed = _poly_ranks([(b, coeffs, k)], rel_tol)[0]
+    expected, observed = _poly_ranks(b[None], [(coeffs, k)], rel_tol)[0]
     name = f"nilpotent_poly_rank[k={k};m={k + coeffs.size - 1}]"
     return AuditReport(name, expected, observed, rel_tol)
 
 
-def _poly_ranks(cases, rel_tol: float) -> list[tuple[int, int]]:
-    """``(rank B^k, rank(a_k B^k + ... + a_m B^m))`` of each ``(B, coeffs, k)``, all B
-    of one size, from one :func:`_ranks` call that also checks each B^dim == 0."""
-    matrices, floors = [], []
-    for b, coeffs, k in cases:
-        dim = b.shape[0]
-        base = np.linalg.matrix_power(b, k)
-        poly = np.zeros_like(b)
-        power = base
-        for c in coeffs:
-            poly += c * power
-            power = power @ b
-        scale = _norm_inf(b)
-        matrices += [np.linalg.matrix_power(b, dim), base, poly]
-        floors += [NILPOTENCY_TOL * scale ** dim, rel_tol * scale ** k, 0.0]
-    ranks = _ranks(np.stack(matrices), floors, rel_tol)
-    if any(ranks[::3]):
+def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[tuple[int, int]]:
+    """``(rank B^k, rank(a_k B^k + ... + a_m B^m))`` of each B of a ``(G, dim, dim)`` stack,
+    given its ``(coeffs, k)``, from one :func:`_ranks` call that also checks each B^dim == 0.
+
+    Each matrix has the same bits as the 2-D power chain of its case alone: a stacked
+    matrix power repeats the 2-D products slice by slice, and the zero padding of the
+    shorter coefficient rows only adds +0.0 to sums that never hold -0.0.
+    """
+    count, dim = len(cases), bs.shape[-1]
+    by_k: dict[int, list[int]] = {}
+    for i, (_, k) in enumerate(cases):
+        by_k.setdefault(k, []).append(i)
+    bases = np.empty_like(bs)
+    for k, group in by_k.items():
+        bases[group] = np.linalg.matrix_power(bs[group], k)
+    coeffs = np.zeros((count, max(c.size for c, _ in cases)))
+    for row, (c, _) in zip(coeffs, cases):
+        row[:c.size] = c
+    poly = np.zeros_like(bs)
+    power = bases
+    for j, column in enumerate(coeffs.T):
+        if j:
+            power = power @ bs
+        poly += column[:, None, None] * power
+    scales = _norm_inf(bs).tolist()
+    floors = ([NILPOTENCY_TOL * scale ** dim for scale in scales]
+              + [rel_tol * scale ** k for scale, (_, k) in zip(scales, cases)] + [0.0] * count)
+    ranks = _ranks(np.concatenate([np.linalg.matrix_power(bs, dim), bases, poly]),
+                   floors, rel_tol)
+    if any(ranks[:count]):
         raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
-    return list(zip(ranks[1::3], ranks[2::3]))
+    return list(zip(ranks[count:2 * count], ranks[2 * count:]))
 
 
 # Fixed 2x2 nilpotent matrix of the variable-coefficient counterexample:
@@ -191,7 +205,7 @@ def counterexample_det(a, b):
     Scalars give a ``float``; arrays (broadcast together) give one
     determinant per entry, from one stacked ``det``.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.broadcast_arrays(_as_real(a), _as_real(b))
     # entry (i, j) of diag(a, b) @ B is the single product d_i * B[i, j]
     scaled = np.stack([a, b], axis=-1)[..., :, None] * COUNTEREXAMPLE_MATRIX
     det = np.linalg.det(np.eye(2) + scaled)
@@ -213,7 +227,7 @@ def _lifted_poly_reports(cases, ps: list[Partition], rel_tol: float) -> list[Aud
         matrices[i] = poly_operator_matrix(terms, ps)
     reports = []
     for terms, rank in zip(cases, _ranks(matrices, [0.0] * len(cases), rel_tol)):
-        label = "+".join("{:g}z{}".format(c, "".join(str(int(x)) for x in e)) for c, e in terms)
+        label = "+".join([("%gz" + "%d" * len(e)) % (c, *e) for c, e in terms])
         reports.append(AuditReport(f"lifted_poly_rank[{label}]", full_rank_predicate(terms, ps),
                                    rank == space.total, rel_tol))
     return reports
@@ -246,7 +260,7 @@ def _random_poly_reports(rng: np.random.Generator, count: int,
     for group, zs in _z_stacks([nodes for nodes, _, _ in draws]):
         n = zs.shape[-1] - 1
         bs = zs / np.linalg.svd(zs, compute_uv=False)[:, :1, None]
-        ranks = _poly_ranks([(b, *draws[i][1:]) for b, i in zip(bs, group)], rel_tol)
+        ranks = _poly_ranks(bs, [draws[i][1:] for i in group], rel_tol)
         for i, (_, observed) in zip(group, ranks):
             k = draws[i][2]
             reports[i] = AuditReport(f"poly_rank_random[n={n};k={k}]", n + 1 - k, observed, rel_tol)

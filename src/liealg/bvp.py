@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .lifting import _grid_coordinates, grid_eval, lifted_diff, poly_operator_matrix, realize
-from .linalg import _format_rows, lu_solve
+from .linalg import _as_real, _format_rows, lu_solve
 from .operators import apply_operator_poly
 from .partitions import Partition, uniform_partition
 
@@ -62,8 +62,8 @@ class BvpReport:
 
 def error_metrics(approx, exact) -> tuple[float, float, float]:
     """Sum, max, and mean of absolute componentwise differences."""
-    approx = np.asarray(approx, dtype=float)
-    exact = np.asarray(exact, dtype=float)
+    approx = _as_real(approx)
+    exact = _as_real(exact)
     if approx.shape != exact.shape or approx.ndim != 1:
         raise ValueError(f"length mismatch: {approx.shape} vs {exact.shape}")
     err = np.abs(approx - exact)

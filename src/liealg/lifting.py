@@ -27,8 +27,8 @@ from math import prod
 
 import numpy as np
 
-from .linalg import _kron, as_matrix
-from .operators import _poly_matrix, diff_matrix
+from .linalg import _as_real, _kron, as_matrix
+from .operators import _exponents, _poly_matrix, diff_matrix
 from .partitions import Partition
 
 __all__ = [
@@ -155,7 +155,7 @@ def grid_eval(f, ps: list[Partition]) -> np.ndarray:
     accept arrays; a scalar result is broadcast to every node.
     """
     coords = _grid_coordinates(ps)
-    return np.broadcast_to(f(*coords), coords[0].shape).astype(float)
+    return np.broadcast_to(_as_real(f(*coords)), coords[0].shape).copy()
 
 
 def poly_operator_matrix(terms, ps: list[Partition]) -> np.ndarray:
@@ -177,7 +177,20 @@ def full_rank_predicate(terms, ps: list[Partition]) -> bool:
     positive degree is nilpotent and the constant term alone decides
     invertibility.  ``poly_operator_matrix`` plus :func:`numerical_rank`
     gives the desk-scale numerical cross-check.
+
+    The terms are checked as the assembler checks them.  The theorem covers
+    constant coefficients only, so a vector coefficient raises ``ValueError``.
     """
-    constant = sum(coeff for coeff, exponents in terms
-                   if all(int(e) == 0 for e in exponents))
-    return constant != 0.0
+    if not ps:
+        raise ValueError("need d >= 1 partitions")
+    constant = 0.0
+    for coeff, exponents in terms:
+        exponents = _exponents(exponents, len(ps))
+        if not isinstance(coeff, float):
+            coeff = _as_real(coeff)
+            if coeff.ndim:
+                raise ValueError("the full-rank predicate covers constant coefficients only, "
+                                 f"got a coefficient of shape {coeff.shape}")
+        if not any(exponents):
+            constant += coeff
+    return bool(constant != 0.0)

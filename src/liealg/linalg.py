@@ -61,7 +61,8 @@ def _kron(factors) -> np.ndarray:
     included) without NumPy's generic N-d overhead on small factors.
     """
     out = factors[-1]
-    for f in reversed(factors[:-1]):
+    for i in range(len(factors) - 2, -1, -1):
+        f = factors[i]
         shape = (out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
         out = (out[:, None, :, None] * f[None, :, None, :]).reshape(shape)
     return out

@@ -7,7 +7,7 @@ from operator import index
 
 import numpy as np
 
-from .linalg import _kron, as_matrix
+from .linalg import _as_real, _kron, as_matrix
 from .partitions import Partition, _pi_weights
 
 __all__ = [
@@ -65,8 +65,10 @@ def mult_matrix(p: Partition) -> np.ndarray:
 
 
 def _scale_rows(coeff, m: np.ndarray) -> np.ndarray:
-    """``diag(coeff) @ m`` for a vector coefficient, ``coeff * m`` for a scalar."""
-    coeff = np.asarray(coeff, dtype=float)
+    """``diag(coeff) @ m`` for a vector coefficient, ``coeff * m`` for a real scalar."""
+    if isinstance(coeff, float):  # the common case, with no array round trip
+        return coeff * m
+    coeff = _as_real(coeff)
     if coeff.ndim == 0:
         return coeff * m
     if coeff.shape != (m.shape[0],):
@@ -91,6 +93,20 @@ def _diff_power(p: Partition, k: int) -> np.ndarray:
     return power
 
 
+def _exponents(exponents, d: int) -> tuple[int, ...]:
+    """The derivative orders of one term, checked: d non-negative integers.
+
+    Each order goes through ``operator.index``, so 1.5 is rejected, never
+    truncated.
+    """
+    exponents = tuple(map(index, exponents))
+    if len(exponents) != d:
+        raise ValueError(f"exponent vector {exponents} has wrong length")
+    if min(exponents) < 0:
+        raise ValueError(f"derivative order must be non-negative, got {min(exponents)}")
+    return exponents
+
+
 def _poly_matrix(terms, ps: list[Partition]) -> np.ndarray:
     """sum_t diag(c_t) @ kron(Z_d^{k_d}, ..., Z_1^{k_1}) over the partitions of a grid.
 
@@ -103,12 +119,7 @@ def _poly_matrix(terms, ps: list[Partition]) -> np.ndarray:
     total = prod(p.n + 1 for p in ps)
     out = np.zeros((total, total))
     for coeff, exponents in terms:
-        exponents = tuple(index(e) for e in exponents)  # rejects 1.5, never truncates it
-        if len(exponents) != len(ps):
-            raise ValueError(f"exponent vector {exponents} has wrong length")
-        if min(exponents) < 0:
-            raise ValueError(f"derivative order must be non-negative, got {min(exponents)}")
-        factors = [_diff_power(p, e) for p, e in zip(ps, exponents)]
+        factors = [_diff_power(p, e) for p, e in zip(ps, _exponents(exponents, len(ps)))]
         out += _scale_rows(coeff, _kron(factors))
     return out
 

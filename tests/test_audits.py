@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from liealg import audits
 from liealg.audits import (
     COUNTEREXAMPLE_MATRIX,
     NILPOTENCY_TOL,
@@ -8,6 +9,7 @@ from liealg.audits import (
     _diff_rank_reports,
     _lifted_poly_family,
     _lifted_poly_reports,
+    _poly_ranks,
     _random_poly_reports,
     _ranks,
     audit_diff_rank,
@@ -20,7 +22,7 @@ from liealg.audits import (
     reports_to_csv,
 )
 from liealg.lifting import poly_operator_matrix
-from liealg.linalg import numerical_rank
+from liealg.linalg import _norm_inf, numerical_rank
 from liealg.operators import diff_matrix
 from liealg.partitions import Partition, jittered_partition, uniform_partition
 
@@ -79,6 +81,27 @@ def reference_random_poly_rank_case(rng, rel_tol):
         coeffs[0] = 0.25 if coeffs[0] >= 0 else -0.25
     report = reference_nilpotent_poly_rank(b, coeffs, k, rel_tol)
     return AuditReport(f"poly_rank_random[n={n};k={k}]", n + 1 - k, report.observed, rel_tol)
+
+
+def reference_poly_ranks(cases, rel_tol):
+    """The per-case builder that the stacked ``_poly_ranks`` replaced: one 2-D power chain
+    per ``(B, coeffs, k)``, matrices ``[B^dim, B^k, poly]`` interleaved case by case."""
+    matrices, floors = [], []
+    for b, coeffs, k in cases:
+        dim = b.shape[0]
+        base = np.linalg.matrix_power(b, k)
+        poly = np.zeros_like(b)
+        power = base
+        for c in coeffs:
+            poly += c * power
+            power = power @ b
+        scale = _norm_inf(b)
+        matrices += [np.linalg.matrix_power(b, dim), base, poly]
+        floors += [NILPOTENCY_TOL * scale ** dim, rel_tol * scale ** k, 0.0]
+    ranks = audits._ranks(np.stack(matrices), floors, rel_tol)
+    if any(ranks[::3]):
+        raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
+    return list(zip(ranks[1::3], ranks[2::3]))
 
 
 class TestRanks:
@@ -228,9 +251,48 @@ class TestNilpotentPolyRankAudit:
             assert rng.bit_generator.state == per_case_rng.bit_generator.state
             assert len({r.case_name for r in reports}) > 10  # several n and k per stack
 
+    @pytest.mark.parametrize("seed", [42, 7, 1])
+    def test_stacked_builder_equals_per_case_loop(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        for n in (2, 5, 8):
+            zs = np.stack([diff_matrix(jittered_partition(rng, n)) for _ in range(12)])
+            bs = zs / np.linalg.svd(zs, compute_uv=False)[:, :1, None]
+            # every k in 0..n+1 and every coefficient length 1..4 within one stack
+            cases = [(rng.uniform(0.25, 2.0, size=1 + i % 4) * rng.choice([-1.0, 1.0]),
+                      i % (n + 2)) for i in range(len(bs))]
+            seen = []
+
+            def recording_ranks(stack, floors, rel_tol):
+                seen.append((stack, floors))
+                return _ranks(stack, floors, rel_tol)
+
+            monkeypatch.setattr(audits, "_ranks", recording_ranks)
+            for rel_tol in (1e-8, 1e-10):
+                got = _poly_ranks(bs, cases, rel_tol)
+                expected = reference_poly_ranks(
+                    [(b, coeffs, k) for b, (coeffs, k) in zip(bs, cases)], rel_tol)
+                assert got == expected
+                # the same matrices and floors, bit for bit, only grouped by kind
+                (stack, floors), (reference, reference_floors) = seen[-2:]
+                regrouped = np.concatenate([reference[0::3], reference[1::3], reference[2::3]])
+                assert stack.tobytes() == regrouped.tobytes()
+                assert floors == (reference_floors[0::3] + reference_floors[1::3]
+                                  + reference_floors[2::3])
+
+    def test_stacked_builder_checks_every_hypothesis(self):
+        bs = np.stack([JORDAN2, np.eye(2), JORDAN2])
+        with pytest.raises(ValueError, match=r"B\^2 is not numerically zero"):
+            _poly_ranks(bs, [(np.array([1.0]), 1)] * 3, 1e-8)
+
     def test_rejects_non_nilpotent(self):
-        with pytest.raises(ValueError, match="nilpotent|zero"):
+        with pytest.raises(ValueError, match=r"hypothesis failed: B\^2 is not numerically zero"):
             audit_nilpotent_poly_rank(np.eye(2), [1.0], 1)
+        with pytest.raises(ValueError, match=r"B\^3 is not numerically zero"):
+            audit_nilpotent_poly_rank(np.triu(np.ones((3, 3))), [1.0, 2.0], 0)
+
+    def test_rejects_complex_coefficients(self):
+        with pytest.raises(ValueError, match="complex"):
+            audit_nilpotent_poly_rank(JORDAN2, [1.0 + 1j], 1)
 
     def test_rejects_zero_leading_coefficient(self):
         with pytest.raises(ValueError, match="nonzero"):
@@ -264,6 +326,12 @@ class TestCounterexample:
         assert got.shape == (20, 20)
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_rejects_complex_input(self):
+        with pytest.raises(ValueError, match="complex"):
+            counterexample_det(1.0 + 1j, 0.5)
+        with pytest.raises(ValueError, match="complex"):
+            counterexample_det(np.zeros(2), np.array([0.5, 1j]))
 
     def test_arrays_broadcast(self):
         got = counterexample_det(np.array([0.0, 1.0]), 0.5)
@@ -300,6 +368,23 @@ class TestLiftedPolyRankAudit:
         assert reports == [audit_lifted_poly_rank(terms, ps) for terms in family]
         assert [r.observed for r in reports] == [
             numerical_rank(poly_operator_matrix(terms, ps)) == 16 for terms in family]
+
+
+class TestAuditReport:
+    def test_numpy_scalars_become_python_values(self):
+        report = AuditReport("case", np.int64(3), np.bool_(True), 1e-8)
+        assert type(report.expected) is int and report.expected == 3
+        assert type(report.observed) is bool and report.observed is True
+        report = AuditReport("case", np.intp(2), np.int32(2), 1e-8)
+        assert type(report.expected) is int and type(report.observed) is int
+        assert report.passed is True
+
+    def test_csv_prints_converted_values(self):
+        reports = [AuditReport("a", np.int64(3), np.int64(3), 1e-8),
+                   AuditReport("b", np.bool_(True), np.bool_(False), 1e-12)]
+        assert reports_to_csv(reports) == ("caseName,expected,observed,tolerance,pass\n"
+                                           "a,3,3,1.0000e-08,true\n"
+                                           "b,true,false,1.0000e-12,false\n")
 
 
 class TestDefaultSuite:

@@ -210,6 +210,13 @@ class TestErrorMetrics:
         with pytest.raises(ValueError, match="length mismatch"):
             error_metrics([1.0], [1.0, 2.0])
 
+    def test_complex_input_raises(self):
+        # a float cast would read [1+1j] against [1.0] as an exact match
+        with pytest.raises(ValueError, match="complex"):
+            error_metrics(np.array([1 + 1j]), np.array([1.0]))
+        with pytest.raises(ValueError, match="complex"):
+            error_metrics([1.0], [1 + 0j])
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
            st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)

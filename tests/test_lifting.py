@@ -252,6 +252,19 @@ class TestGridEval:
     def test_constant(self):
         np.testing.assert_array_equal(grid_eval(lambda x, y: 1.0, UNIT_SQUARE), np.ones(4))
 
+    def test_complex_values_raise(self):
+        # astype(float) would drop the imaginary part with only a ComplexWarning
+        with pytest.raises(ValueError, match="complex"):
+            grid_eval(lambda x, y: x + 1j * y, UNIT_SQUARE)
+        with pytest.raises(ValueError, match="complex"):
+            grid_eval(lambda x, y: 1j, UNIT_SQUARE)
+
+    def test_result_is_a_fresh_writable_array(self):
+        values = grid_eval(lambda x, y: 2.0, UNIT_SQUARE)
+        values[0] = 0.0
+        np.testing.assert_array_equal(values, [0.0, 2.0, 2.0, 2.0])
+        assert grid_eval(lambda x, y: x > 0.5, UNIT_SQUARE).dtype == np.float64
+
     def test_first_coordinate_fastest(self):
         np.testing.assert_array_equal(
             grid_eval(lambda x, y: x, UNIT_SQUARE), [0.0, 1.0, 0.0, 1.0])
@@ -349,6 +362,37 @@ class TestFullRankPredicate:
         ps = [uniform_partition(0, 1, 2), uniform_partition(0, 1, 2)]
         terms = [(2.0, (0, 0)), (-2.0, (0, 0)), (1.0, (2, 0))]
         assert not full_rank_predicate(terms, ps)
+
+    def test_exponents_are_integers(self):
+        # int(0.5) == 0 would read (0.5, 0) as a constant term
+        with pytest.raises(TypeError):
+            full_rank_predicate([(1.0, (0.5, 0))], UNIT_SQUARE)
+        assert full_rank_predicate([(1.0, (np.int64(0), 0))], UNIT_SQUARE)
+        with pytest.raises(ValueError, match="non-negative"):
+            full_rank_predicate([(1.0, (0, 0)), (1.0, (-1, 0))], UNIT_SQUARE)
+
+    def test_exponent_length_check(self):
+        for exponents in ((0,), (0, 0, 0)):
+            with pytest.raises(ValueError, match="wrong length"):
+                full_rank_predicate([(1.0, exponents)], UNIT_SQUARE)
+        with pytest.raises(ValueError, match="d >= 1"):
+            full_rank_predicate([(1.0, ())], [])
+
+    def test_vector_coefficient_raises(self):
+        # the theorem covers constant coefficients only; diag(c) @ I is singular
+        # wherever c has a zero, and a vector on a derivative term breaks nilpotency
+        for exponents in ((0, 0), (1, 0)):
+            with pytest.raises(ValueError, match="constant coefficients"):
+                full_rank_predicate([(1.0, (0, 0)), (np.array([1.0, 0.0, 1.0, 1.0]), exponents)],
+                                    UNIT_SQUARE)
+
+    def test_complex_coefficient_raises(self):
+        with pytest.raises(ValueError, match="complex"):
+            full_rank_predicate([(1j, (0, 0))], UNIT_SQUARE)
+
+    def test_returns_python_bool(self):
+        assert full_rank_predicate([(np.float64(2.0), (0, 0))], UNIT_SQUARE) is True
+        assert full_rank_predicate([(1.0, (1, 0))], UNIT_SQUARE) is False
 
     def test_poly_matrix_exponent_length_check(self):
         ps = [uniform_partition(0, 1, 2)]

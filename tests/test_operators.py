@@ -271,6 +271,27 @@ class TestOperatorPoly:
             np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
 
+    def test_float_coefficient_fast_path_is_bit_identical(self):
+        rng = np.random.default_rng(29)
+        p = jittered_partition(rng, 6)
+        for value in (2.5, -1.0, -0.0, 0.0):
+            expected = apply_operator_poly([(np.array(value), 1), (np.array(value), 0)], p)
+            for coeff in (value, np.float64(value)):
+                got = apply_operator_poly([(coeff, 1), (coeff, 0)], p)
+                np.testing.assert_array_equal(got, expected)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        np.testing.assert_array_equal(apply_operator_poly([(2, 1)], p),
+                                      apply_operator_poly([(2.0, 1)], p))
+
+    def test_complex_coefficients_raise(self):
+        # a float cast would drop the imaginary part with only a ComplexWarning
+        for coeff in (1 + 2j, np.complex128(1.0), np.full(3, 1 + 0j)):
+            with pytest.raises(ValueError, match="complex"):
+                apply_operator_poly([(coeff, 1)], P012)
+        with pytest.raises(ValueError, match="complex"):
+            poly_operator_matrix([(np.full(9, 1j), (1, 0))], [P012, P012])
+
+
 class TestNonFiniteDiffMatrix:
     def test_overflowing_pi_weights_raise(self):
         # 1001 uniform nodes on [-1, 1]: the pi-weights overflow float64
