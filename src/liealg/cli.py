@@ -150,6 +150,8 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError(f"unknown command {config.command!r}")
     if not 0.0 < config.rel_tol < 1.0:
         raise ConfigError(f"rel-tol must lie in (0, 1), got {config.rel_tol}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {config.seed}")
     for key, low in (("n", 1), ("n1", MIN_N_2D), ("n2", MIN_N_2D)):
         value = getattr(config, key)
         if value is not None and not low <= value <= MAX_N:

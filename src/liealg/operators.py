@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from math import prod
-from operator import index
+from operator import index, is_
 
 import numpy as np
 
@@ -119,9 +119,29 @@ def _poly_matrix(terms, ps: list[Partition]) -> np.ndarray:
     total = prod(p.n + 1 for p in ps)
     out = np.zeros((total, total))
     for coeff, exponents in terms:
-        factors = [_diff_power(p, e) for p, e in zip(ps, _exponents(exponents, len(ps)))]
-        out += _scale_rows(coeff, _kron(factors))
+        out += _scale_rows(coeff, _monomial(ps, exponents))
     return out
+
+
+def _monomial(ps: list[Partition], exponents) -> np.ndarray:
+    """kron(Z_d^{k_d}, ..., Z_1^{k_1}) of a grid: :func:`_diff_power` for d = 1, else
+    stored read-only on ``ps[0]`` from its second request on the grid (a 2-D solve asks
+    once per monomial, so it keeps none).  An entry holds ``ps[1:]``, keyed by the
+    exponents and their ids, and a hit checks them with ``is``."""
+    exponents = _exponents(exponents, len(ps))
+    if len(ps) == 1:
+        return _diff_power(ps[0], exponents[0])
+    rest = tuple(ps[1:])
+    key = exponents + tuple(map(id, rest))
+    entry = ps[0]._lifted.get(key)
+    seen = entry is not None and all(map(is_, entry[0], rest))
+    if seen and entry[1] is not None:
+        return entry[1]
+    product = _kron([_diff_power(p, e) for p, e in zip(ps, exponents)])
+    if seen:  # the second request on this grid
+        product.flags.writeable = False
+    ps[0]._lifted[key] = (rest, product if seen else None)
+    return product
 
 
 def apply_operator_poly(terms, p: Partition) -> np.ndarray:

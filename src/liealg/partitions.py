@@ -38,6 +38,8 @@ class Partition:
     _diff: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     # read-only powers Z^k by k, stored by the operator assembler on first use
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # lifted monomials of grids that start with this partition, stored by the assembler
+    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = _as_real(self.nodes).copy()
@@ -71,8 +73,8 @@ def _check_nodes(nodes: np.ndarray, ndim: int = 1) -> None:
 
 def uniform_partition(a: float, b: float, n: int) -> Partition:
     """Equally spaced partition x_i = a + (i/n)(b - a) with exact endpoints."""
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
+    if not (np.isfinite(a) and np.isfinite(b) and a < b):  # before linspace can warn
+        raise ValueError(f"need finite a < b, got a={a}, b={b}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return Partition(np.linspace(a, b, n + 1))

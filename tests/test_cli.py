@@ -73,6 +73,13 @@ class TestDiffmat:
         got = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
         np.testing.assert_array_equal(got, [[-1.0, 1.0], [-1.0, 1.0]])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a, b", [("0", "inf"), ("-inf", "1"), ("nan", "1")])
+    def test_non_finite_endpoint_is_config_error(self, capsys, a, b):
+        status, out, err = run_cli(capsys, "diffmat", f"--a={a}", f"--b={b}", "--n", "3")
+        assert status == 2 and out == ""
+        assert err.startswith("liealg: need finite a < b")
+
     def test_output_matches_golden_file(self):
         status, text = run(RunConfig("diffmat", n=20))
         assert status == 0
@@ -180,6 +187,15 @@ class TestRankAudit:
         monkeypatch.setenv("LIEALG_SEED", "not-a-number")
         status, _, err = run_cli(capsys, "rank-audit")
         assert status == 2 and "LIEALG_SEED" in err
+
+    def test_negative_seed_is_config_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("LIEALG_SEED", "-1")
+        assert run_cli(capsys, "rank-audit") == (2, "", "liealg: seed must be non-negative, got -1\n")
+        monkeypatch.delenv("LIEALG_SEED")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-3\n")
+        assert run_cli(capsys, "rank-audit", "--config", str(cfg)) == (
+            2, "", "liealg: seed must be non-negative, got -3\n")
 
     def test_rel_tol_flag_validated(self, capsys):
         status, _, err = run_cli(capsys, "rank-audit", "--rel-tol", "2.0")

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liealg.bvp import _hyperbolic_system
 from liealg.lifting import poly_operator_matrix
-from liealg.linalg import _norm_inf, numerical_rank
+from liealg.linalg import _kron, _norm_inf, numerical_rank
 from liealg.operators import (
     _diff_matrices,
     _diff_power,
+    _monomial,
     apply_operator_poly,
     diff_matrix,
     mult_matrix,
@@ -210,6 +212,101 @@ class TestDiffPowerPerPartition:
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
                 apply_operator_poly([(1.0, 2)], p)
         assert 2 not in p._powers
+
+
+def fresh_kron_sum(terms, ps):
+    """sum_t diag(c_t) kron(Z_d^{k_d}, ..., Z_1^{k_1}), every product built anew."""
+    total = int(np.prod([p.n + 1 for p in ps]))
+    out = np.zeros((total, total))
+    for coeff, exponents in terms:
+        factors = [np.linalg.matrix_power(diff_matrix(p), k) if k else np.eye(p.n + 1)
+                   for p, k in zip(ps, exponents)]
+        product = _kron(factors)
+        out += (coeff[:, None] if np.ndim(coeff) else coeff) * product
+    return out
+
+
+def stored(p):
+    """The matrices stored on a partition's lifted-monomial entries."""
+    return [matrix for _, matrix in p._lifted.values() if matrix is not None]
+
+
+class TestLiftedMonomialStore:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_bit_identical_to_fresh_kron_chain(self, d, vector):
+        rng = np.random.default_rng(40 + d)
+        ps = [jittered_partition(rng, n) for n in (3, 2, 2)[:d]]
+        total = int(np.prod([p.n + 1 for p in ps]))
+        exponents = [(1, 0, 2)[:d], (0, 2, 1)[:d], (2, 1, 0)[:d], (0,) * d, (1, 1, 1)[:d]]
+        if vector:
+            coeffs = [rng.uniform(-1.0, 1.0, total) for _ in exponents]
+            coeffs[0][::3] = -0.0
+            coeffs[1][::2] = 0.0
+        else:
+            coeffs = [-0.0, 1.5, -2.0, 0.0, -0.25]
+        terms = list(zip(coeffs, exponents))
+        expected = fresh_kron_sum(terms, ps)
+        for _ in range(3):  # built unstored, stored, then served from the store
+            got = poly_operator_matrix(terms, ps)
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        assert len(stored(ps[0])) == len(exponents)
+
+    def test_stored_from_second_request_read_only_and_reused(self):
+        ps = [jittered_partition(np.random.default_rng(44), n) for n in (3, 4)]
+        first = _monomial(ps, (2, 1))
+        assert first.flags.writeable and not stored(ps[0])
+        second = _monomial(ps, (2, 1))
+        [kept] = stored(ps[0])
+        assert kept is second and not second.flags.writeable
+        assert _monomial(ps, (2, 1)) is second
+        np.testing.assert_array_equal(first, second)
+
+    def test_one_dimension_is_the_stored_power(self):
+        p = jittered_partition(np.random.default_rng(45), 4)
+        assert _monomial([p], (2,)) is _diff_power(p, 2)
+        assert not p._lifted
+
+    def test_equal_partitions_get_their_own_entries(self):
+        nodes = np.array([0.0, 0.5, 2.0, 2.5])
+        p, q, q_copy = Partition(nodes), Partition(nodes), Partition(nodes.copy())
+        for grid in ([p, q], [p, q_copy]):
+            _monomial(grid, (1, 2))
+            _monomial(grid, (1, 2))
+        first, second = stored(p)
+        assert first is not second
+        np.testing.assert_array_equal(first, second)
+        assert _monomial([p, q], (1, 2)) is first and _monomial([p, q_copy], (1, 2)) is second
+
+    def test_entry_of_another_grid_is_never_served(self):
+        # an entry keyed by the id of r but holding q, as if r had reused q's id
+        p, q, r = (jittered_partition(np.random.default_rng(46 + i), 3) for i in range(3))
+        stale = np.full((16, 16), np.nan)
+        stale.flags.writeable = False
+        p._lifted[(1, 1, id(r))] = ((q,), stale)
+        for _ in range(3):
+            got = _monomial([p, r], (1, 1))
+            np.testing.assert_array_equal(got, fresh_kron_sum([(1.0, (1, 1))], [p, r]))
+        [kept] = stored(p)
+        assert kept is got
+
+    def test_monomials_asked_for_once_store_no_matrix(self):
+        # a 2-D solve asks for each monomial once: no N x N product outlives it
+        ps = [uniform_partition(-1.0, 1.0, 15), uniform_partition(-1.0, 1.0, 15)]
+        _hyperbolic_system(ps)
+        assert len(ps[0]._lifted) == 3 and not stored(ps[0])
+        assert not ps[1]._lifted
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_overflowing_power_raises_each_call_and_is_not_stored(self, position):
+        # Z has entries of 1e200, so Z^2 overflows float64
+        ps = [uniform_partition(0.0, 1.0, 2), uniform_partition(0.0, 1.0, 3)]
+        ps[position] = Partition(np.array([0.0, 1e-200, 1.0]))
+        for _ in range(3):
+            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+                poly_operator_matrix([(1.0, (2, 2))], ps)
+        assert not ps[0]._lifted
 
 
 class TestMultMatrix:

@@ -71,6 +71,12 @@ class TestUniformPartition:
         with pytest.raises(ValueError, match="a < b"):
             uniform_partition(1.0, 1.0, 3)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_rejects_non_finite_endpoint_before_spacing(self, a, b):
+        with pytest.raises(ValueError, match="finite a < b"):
+            uniform_partition(a, b, 3)
+
 
 @given(n=st.integers(2, 12), seed=st.integers(0, 1000))
 @settings(max_examples=40, deadline=None)
