@@ -80,16 +80,25 @@ def lu_factor(a):
     Returns ``(lu, piv)`` where ``piv`` is the row permutation applied to the
     input.  Raises :class:`SingularSystemError` when the best available pivot
     is exactly zero.
+
+    Step ``k`` subtracts its rank-1 update from rows ``k+1..n-1`` as one flat
+    subtract, as NumPy pays per row for a strided block.  ``update`` holds the
+    products in columns ``j > k``, rounded as in a block update, and ``+0.0``
+    in the finished columns ``j <= k``: ``x - (+0.0)`` is ``x`` for every
+    double, ``-0.0``, infinities and NaN included.  Step ``k`` zeroes column
+    ``k``, the only one of those columns that step ``k-1`` wrote.
     """
     lu = as_matrix(a).copy()
     n, m = lu.shape
     if n != m:
         raise ValueError(f"square matrix required, got shape {lu.shape}")
-    piv = np.arange(n)
+    piv = list(range(n))
     row = np.empty(n)  # buffer of a row swap
-    scratch = np.empty(n * n)  # the rank-1 update of each step, contiguous in its head
+    magnitudes = np.empty(n)
+    update = np.zeros((n, n))  # the rank-1 update of each step, in its first rows
+    flat_lu, flat_update = lu.reshape(-1), update.reshape(-1)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        p = k + int(np.argmax(np.abs(lu[k:, k], out=magnitudes[k:])))
         if lu[p, k] == 0.0:
             raise SingularSystemError(k)
         if p != k:
@@ -97,24 +106,35 @@ def lu_factor(a):
             lu[k] = lu[p]
             lu[p] = row
             piv[k], piv[p] = piv[p], piv[k]
-        lu[k + 1:, k] /= lu[k, k]
         rest = n - k - 1
-        update = scratch[:rest * rest].reshape(rest, rest)
-        np.multiply(lu[k + 1:, k, None], lu[k, k + 1:], out=update)
-        trailing = lu[k + 1:, k + 1:]
-        np.subtract(trailing, update, out=trailing)
-    return lu, piv
+        l = np.divide(lu[k + 1:, k], lu[k, k], out=lu[k + 1:, k])
+        update[:rest, k] = 0.0
+        np.multiply(l[:, None], lu[k, k + 1:], out=update[:rest, k + 1:])
+        tail = flat_lu[(k + 1) * n:]
+        np.subtract(tail, flat_update[:rest * n], out=tail)
+    return lu, np.array(piv)
 
 
 def _lu_apply(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve with packed factors; ``b`` may be a vector or a matrix of columns."""
-    x = b[piv].astype(float, copy=True)
+    """Solve with packed factors; ``b`` is a float vector or a float matrix of columns.
+
+    Matrix rows are updated in place through views, with no copy back.  A
+    vector entry is a scalar, which a ufunc call would handle far slower.
+    """
+    x = b[piv]
     n = lu.shape[0]
-    for k in range(1, n):
-        x[k] -= lu[k, :k] @ x[:k]
+    if x.ndim == 1:
+        for k in range(1, n):
+            x[k] -= lu[k, :k] @ x[:k]
+        for k in range(n - 1, -1, -1):
+            x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
+        return x
+    for k, row in enumerate(x[1:], start=1):
+        row -= lu[k, :k] @ x[:k]
     for k in range(n - 1, -1, -1):
-        x[k] -= lu[k, k + 1:] @ x[k + 1:]
-        x[k] /= lu[k, k]
+        row = x[k]
+        row -= lu[k, k + 1:] @ x[k + 1:]
+        row /= lu[k, k]
     return x
 
 

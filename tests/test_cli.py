@@ -103,6 +103,11 @@ class TestTable1:
         assert float(shoot16["Emax"]) == pytest.approx(6.7013e-4, rel=0.2)
         assert shoot16["rcond"] == "nan"
 
+    def test_output_matches_golden_file(self):
+        status, text = run(RunConfig("table1"))
+        assert status == 0
+        assert text.encode() == (DATA / "table1.csv").read_bytes()
+
     def test_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "table1")
         _, second, _ = run_cli(capsys, "table1")
@@ -133,6 +138,12 @@ class TestTable3:
         rows = parse_csv(out)
         assert [r["n"] for r in rows] == ["10x10", "15x15"]
         assert float(rows[0]["Emax"]) == pytest.approx(0.0064, rel=0.2)
+
+    def test_output_matches_golden_file(self):
+        # the 15x15 row is rounding (rcond 5e-16): these bytes pin the LU's arithmetic
+        status, text = run(RunConfig("table3"))
+        assert status == 0
+        assert text.encode() == (DATA / "table3.csv").read_bytes()
 
     def test_explicit_dims(self, capsys):
         status, out, _ = run_cli(capsys, "table3", "--n1", "6", "--n2", "5")
@@ -229,6 +240,11 @@ class TestPlotFigure1:
         status, text = run(RunConfig("plot-figure1", n1=10, n2=10))
         assert status == 0
         assert text.encode() == (DATA / "plot_figure1_10x10.dat").read_bytes()
+
+    def test_gated_grid_matches_golden_file(self):
+        status, text = run(RunConfig("plot-figure1", n1=15, n2=15))
+        assert status == 0
+        assert text.encode() == (DATA / "plot_figure1_15x15.dat").read_bytes()
 
 
 class TestConfigFile:

@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liealg.bvp import _hyperbolic_system
+from liealg.bvp import _hyperbolic_system, two_point_coefficients
 from liealg.linalg import (
     SingularSystemError,
     _format_rows,
     _kron,
+    _lu_apply,
+    _norm_inf,
     as_matrix,
     as_vector,
     format_matrix,
@@ -15,7 +19,7 @@ from liealg.linalg import (
     lu_solve,
     numerical_rank,
 )
-from liealg.operators import diff_matrix
+from liealg.operators import apply_operator_poly, diff_matrix
 from liealg.partitions import Partition, uniform_partition
 
 
@@ -113,6 +117,20 @@ def reference_lu_factor(a):
     return lu, piv
 
 
+def two_point_system(n):
+    """The collocation matrix and right-hand side of the ``table1`` 1-D solve."""
+    part = uniform_partition(0.001, math.pi / 2.0, n)
+    p, q, r, s = two_point_coefficients(part.nodes)
+    return apply_operator_poly([(r, 0), (q, 1), (p, 2)], part), s
+
+
+# elimination of this matrix overflows: its factors hold +inf, -inf, NaN and -0.0
+OVERFLOWING = np.array([[3.0, 3.0, 1.0, 0.0],
+                        [-2.0, -1.0, -2.0, 1.0],
+                        [-1e308, 1e308, -0.0, 1e308],
+                        [-1e308, 0.0, -1.0, -1e308]])
+
+
 def factor_or_breakdown(factor, a):
     try:
         return factor(a)
@@ -154,6 +172,103 @@ class TestLuFactor:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         lu_factor(a)
         np.testing.assert_array_equal(a, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_negative_zero_entries_match_reference_loop(self):
+        # a -0.0 below the pivot gives a -0.0 multiplier, which later steps must keep
+        a = np.array([[2.0, 1.0, 3.0], [-0.0, 4.0, 1.0], [-0.0, 1.0, 5.0]])
+        self.assert_same_factors(a)
+        lu, _ = lu_factor(a)
+        assert lu[1, 0] == 0.0 and np.signbit(lu[1, 0]) and np.signbit(lu[2, 0])
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            size = int(rng.integers(2, 12))
+            a = rng.standard_normal((size, size))
+            a[rng.random(a.shape) < 0.3] = -0.0
+            a[rng.random(a.shape) < 0.2] = 0.0
+            self.assert_same_factors(a)
+
+    @pytest.mark.parametrize("a", [[[5.0]], [[-0.0]], [[-3.0]], [[1.0, 2.0], [3.0, 4.0]],
+                                   [[-0.0, 2.0], [3.0, -0.0]], [[0.0, 1.0], [0.0, 2.0]]])
+    def test_one_and_two_rows_match_reference_loop(self, a):
+        self.assert_same_factors(np.array(a))
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_two_point_operators_match_reference_loop(self, n):
+        self.assert_same_factors(two_point_system(n)[0])
+
+    def test_20x20_hyperbolic_operator_matches_reference_loop(self):
+        k, _ = _hyperbolic_system([uniform_partition(-1.0, 1.0, 20)] * 2)
+        self.assert_same_factors(k)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflow_to_infinity_matches_reference_loop(self):
+        self.assert_same_factors(OVERFLOWING)
+        lu, _ = lu_factor(OVERFLOWING)
+        assert np.isposinf(lu).any() and np.isneginf(lu).any() and np.isnan(lu).any()
+        rng = np.random.default_rng(32)
+        values = [1e308, -1e308, 1.0, -1.0, 0.0, -0.0, 3.0, -2.0]
+        for _ in range(100):
+            self.assert_same_factors(rng.choice(values, size=(5, 5)))
+
+
+def reference_lu_apply(lu, piv, b):
+    """The substitution loop that updates ``x[k]`` by item assignment, copying each row back."""
+    x = b[piv].astype(float, copy=True)
+    n = lu.shape[0]
+    for k in range(1, n):
+        x[k] -= lu[k, :k] @ x[:k]
+    for k in range(n - 1, -1, -1):
+        x[k] -= lu[k, k + 1:] @ x[k + 1:]
+        x[k] /= lu[k, k]
+    return x
+
+
+def random_system(rng, size):
+    a = rng.standard_normal((size, size)) + size * np.eye(size)
+    a[rng.random(a.shape) < 0.2] = -0.0
+    return a
+
+
+class TestLuApply:
+    def assert_same_bits(self, got, expected):
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def assert_same_solves(self, a, b):
+        lu, piv = lu_factor(a)
+        for rhs in (b, np.eye(a.shape[0]), np.asarray(b)[:, None] * np.ones(3)):
+            self.assert_same_bits(_lu_apply(lu, piv, rhs), reference_lu_apply(lu, piv, rhs))
+        x, rcond = lu_solve(a, b)
+        self.assert_same_bits(x, reference_lu_apply(lu, piv, b))
+        inv = reference_lu_apply(lu, piv, np.eye(a.shape[0]))
+        assert rcond == 1.0 / (_norm_inf(a) * _norm_inf(inv))
+
+    @pytest.mark.parametrize("n", [10, 15, 20])
+    def test_hyperbolic_systems_match_reference_loop(self, n):
+        k, rhs = _hyperbolic_system([uniform_partition(-1.0, 1.0, n)] * 2)
+        self.assert_same_solves(k, rhs)
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_two_point_systems_match_reference_loop(self, n):
+        self.assert_same_solves(*two_point_system(n))
+
+    def test_random_systems_match_reference_loop(self):
+        rng = np.random.default_rng(33)
+        for _ in range(30):
+            size = int(rng.integers(1, 30))
+            b = rng.standard_normal(size)
+            b[rng.random(size) < 0.3] = -0.0
+            self.assert_same_solves(random_system(rng, size), b)
+
+    def test_right_hand_side_is_not_modified(self):
+        a, b = random_system(np.random.default_rng(34), 6), np.arange(6.0)
+        lu, piv = lu_factor(a)
+        eye = np.eye(6)
+        _lu_apply(lu, piv, b)
+        _lu_apply(lu, piv, eye)
+        np.testing.assert_array_equal(b, np.arange(6.0))
+        np.testing.assert_array_equal(eye, np.eye(6))
 
 
 class TestLuSolve:
