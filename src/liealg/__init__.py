@@ -32,8 +32,6 @@ from .lifting import (
     lifted_diff,
     poly_operator_matrix,
     realize,
-    star,
-    unstar,
 )
 from .linalg import (
     SingularSystemError,

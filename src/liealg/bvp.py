@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .lifting import _grid_coordinates, grid_eval, lifted_diff, poly_operator_matrix, realize
+from .lifting import _grid_coordinates, grid_eval, poly_operator_matrix
 from .linalg import _as_real, _format_rows, lu_solve
-from .operators import apply_operator_poly
+from .operators import _monomial, apply_operator_poly
 from .partitions import Partition, uniform_partition
 
 __all__ = [
@@ -154,9 +154,10 @@ def _hyperbolic_system(ps: list[Partition]) -> tuple[np.ndarray, np.ndarray]:
     """
     x, y = _grid_coordinates(ps)
     mask = 1.0 - x * x - y * y
-    dx = realize(lifted_diff(1, ps))
-    dy = realize(lifted_diff(2, ps))
-    principal = poly_operator_matrix([(1.0, (2, 0)), (-1.0, (0, 2)), (y, (1, 0))], ps)
+    dx = _monomial(ps, (1, 0))
+    dy = _monomial(ps, (0, 1))
+    principal = poly_operator_matrix([(1.0, (2, 0)), (-1.0, (0, 2))], ps)
+    principal += y[:, None] * dx  # the assembler's term (y, (1, 0)), bit for bit, on dx
     k = (mask[:, None] * principal - (4.0 * x)[:, None] * dx + (4.0 * y)[:, None] * dy
          - np.diag(2.0 * x * y))
     return k, mask

@@ -9,13 +9,14 @@ A node of the d-dimensional grid is addressed by a multi-index
 
 so the dimension-1 index varies fastest.  This single convention fixes
 everything else in the module: grid value vectors are filled in star order,
-and a lifted operator with per-dimension factors (F_1, ..., F_d) realizes
-concretely as the conventional Kronecker product of the factors in
-*reversed* order, kron(F_d, ..., F_1), because the conventional product
-varies its second factor's index fastest.  The realization is also exactly
-the entrywise rule
+and a monomial Z_1^{k_1} ... Z_d^{k_d} in the lifted derivatives, each Z_alpha
+acting on dimension alpha alone, realizes concretely as the conventional
+Kronecker product of its per-dimension factors in *reversed* order,
+kron(Z_d^{k_d}, ..., Z_1^{k_1}), because the conventional product varies its
+second factor's index fastest.  The realization is also exactly the
+entrywise rule
 
-    M[star(i), star(j)] = prod_alpha F_alpha[i_alpha, j_alpha],
+    M[star(i), star(j)] = prod_alpha (Z_alpha^{k_alpha})[i_alpha, j_alpha],
 
 which the test suite checks against the Kronecker route.
 """
@@ -24,18 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import index
 
 import numpy as np
 
-from .linalg import _as_real, _kron, as_matrix
-from .operators import _exponents, _poly_matrix, diff_matrix
+from .linalg import _as_real
+from .operators import _exponents, _monomial, _poly_matrix
 from .partitions import Partition
 
 __all__ = [
     "MultiIndexSpace",
     "LiftedOperator",
-    "star",
-    "unstar",
     "space_of",
     "lifted_diff",
     "realize",
@@ -52,72 +52,24 @@ class MultiIndexSpace:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
+        dims = tuple(map(index, self.dims))  # 2.7 is rejected, never truncated
         if len(dims) < 1 or any(n < 1 for n in dims):
             raise ValueError(f"need d >= 1 dimensions with n_alpha >= 1, got {dims}")
         object.__setattr__(self, "dims", dims)
 
     @property
-    def d(self) -> int:
-        return len(self.dims)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(n + 1 for n in self.dims)
-
-    @property
     def total(self) -> int:
         """Total number of grid nodes N."""
-        return prod(self.sizes)
-
-
-def star(index, space: MultiIndexSpace) -> int:
-    """1-based linear index of a multi-index; dimension 1 varies fastest."""
-    index = tuple(int(i) for i in index)
-    if len(index) != space.d:
-        raise ValueError(f"multi-index length {len(index)} != dimension {space.d}")
-    linear = 0
-    for i, n in zip(reversed(index), reversed(space.dims)):
-        if not 0 <= i <= n:
-            raise ValueError(f"multi-index component {i} out of range 0..{n}")
-        linear = linear * (n + 1) + i
-    return linear + 1
-
-
-def unstar(linear: int, space: MultiIndexSpace) -> tuple[int, ...]:
-    """Multi-index of a 1-based linear index (inverse of :func:`star`)."""
-    if not 1 <= linear <= space.total:
-        raise ValueError(f"linear index {linear} out of range 1..{space.total}")
-    rest = linear - 1
-    out = []
-    for size in space.sizes:
-        out.append(rest % size)
-        rest //= size
-    return tuple(out)
+        return prod(n + 1 for n in self.dims)
 
 
 @dataclass(frozen=True)
 class LiftedOperator:
-    """Per-dimension factors of a tensor-product operator; ``None`` marks identity."""
+    """The monomial kron(Z_d^{k_d}, ..., Z_1^{k_1}) of a grid, as one term of the
+    term-list representation: its partitions and its exponents (k_1, ..., k_d)."""
 
-    space: MultiIndexSpace
-    factors: tuple[np.ndarray | None, ...]
-
-    def __post_init__(self):
-        if len(self.factors) != self.space.d:
-            raise ValueError(f"expected {self.space.d} factors, got {len(self.factors)}")
-        checked = []
-        for size, f in zip(self.space.sizes, self.factors):
-            if f is None:
-                checked.append(None)
-                continue
-            f = as_matrix(f)
-            if f.shape != (size, size):
-                raise ValueError(f"factor shape {f.shape} != ({size}, {size})")
-            f = f.copy()
-            f.flags.writeable = False
-            checked.append(f)
-        object.__setattr__(self, "factors", tuple(checked))
+    partitions: tuple[Partition, ...]
+    exponents: tuple[int, ...]
 
 
 def space_of(ps: list[Partition]) -> MultiIndexSpace:
@@ -126,24 +78,21 @@ def space_of(ps: list[Partition]) -> MultiIndexSpace:
 
 def lifted_diff(alpha: int, ps: list[Partition]) -> LiftedOperator:
     """Differentiation along dimension ``alpha`` (1-based), identity elsewhere."""
-    space = space_of(ps)
-    if not 1 <= alpha <= space.d:
-        raise ValueError(f"dimension index {alpha} out of range 1..{space.d}")
-    factors = [None] * space.d
-    factors[alpha - 1] = diff_matrix(ps[alpha - 1])
-    return LiftedOperator(space, tuple(factors))
+    alpha = index(alpha)
+    if not 1 <= alpha <= len(ps):
+        raise ValueError(f"dimension index {alpha} out of range 1..{len(ps)}")
+    return LiftedOperator(tuple(ps), tuple(int(a == alpha) for a in range(1, len(ps) + 1)))
 
 
 def realize(op: LiftedOperator) -> np.ndarray:
-    """N x N matrix of a lifted operator: kron of the factors in reversed order."""
-    factors = [np.eye(size) if f is None else f
-               for size, f in zip(op.space.sizes, op.factors)]
-    out = _kron(factors)
-    return out.copy() if len(factors) == 1 else out  # a single factor comes back as is
+    """N x N matrix of a lifted monomial, as a fresh writable array."""
+    return np.array(_monomial(list(op.partitions), op.exponents))
 
 
 def _grid_coordinates(ps: list[Partition]) -> list[np.ndarray]:
     """Per-dimension coordinate vectors of all grid nodes, in star order."""
+    if not ps:
+        raise ValueError("need d >= 1 partitions")
     grids = np.meshgrid(*(p.nodes for p in reversed(ps)), indexing="ij")
     return [g.ravel() for g in reversed(grids)]
 

@@ -35,11 +35,7 @@ def diff_matrix(p: Partition) -> np.ndarray:
     The matrix is built once per partition and stored on it, read-only; later
     calls return the same array.  A failure is not stored, so it repeats.
     """
-    if p._diff is None:
-        z = _diff_matrices(p.nodes[None])[0]
-        z.flags.writeable = False
-        object.__setattr__(p, "_diff", z)
-    return p._diff
+    return _diff_power(p, 1)
 
 
 def _diff_matrices(nodes: np.ndarray) -> np.ndarray:
@@ -86,8 +82,10 @@ def _diff_power(p: Partition, k: int) -> np.ndarray:
     if power is None:
         if k == 0:
             power = np.eye(p.n + 1)
+        elif k == 1:
+            power = _diff_matrices(p.nodes[None])[0]
         else:
-            power = as_matrix(np.linalg.matrix_power(diff_matrix(p), k))  # rejects overflow
+            power = as_matrix(np.linalg.matrix_power(_diff_power(p, 1), k))  # rejects overflow
         power.flags.writeable = False
         p._powers[k] = power
     return power

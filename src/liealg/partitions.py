@@ -34,9 +34,7 @@ class Partition:
     """Strictly increasing nodes x_0 .. x_n on the interval [x_0, x_n]."""
 
     nodes: np.ndarray
-    # read-only differentiation matrix, stored by operators.diff_matrix on first use
-    _diff: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    # read-only powers Z^k by k, stored by the operator assembler on first use
+    # read-only powers Z^k by k (Z itself at k = 1), stored by operators on first use
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # lifted monomials of grids that start with this partition, stored by the assembler
     _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -139,6 +137,8 @@ def tensor_interpolate(ps: list[Partition], values, point) -> float:
     ``values`` is ordered with the dimension-1 index varying fastest, matching
     the grid linearization used throughout (see :mod:`liealg.lifting`).
     """
+    if not ps:
+        raise ValueError("need d >= 1 partitions")
     point = _as_real(point)
     if point.shape != (len(ps),):
         raise ValueError(f"expected a point of dimension {len(ps)}, got shape {point.shape}")

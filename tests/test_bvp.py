@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,8 +17,27 @@ from liealg.bvp import (
     solve_two_point,
     solve_hyperbolic,
 )
-from liealg.lifting import lifted_diff, realize
+from liealg.lifting import _grid_coordinates, lifted_diff, poly_operator_matrix, realize
+from liealg.linalg import _kron
+from liealg.operators import diff_matrix
 from liealg.partitions import uniform_partition
+
+
+BIT_GRID = (4, 6, 9, 10, 15, 17, 20)
+
+
+def reference_hyperbolic_system(ps):
+    """K and the mask built the long way, for bit comparison with _hyperbolic_system:
+    Dx and Dy as Kronecker products of Z with the identity, and a three-term
+    principal part that forms its own y Dx."""
+    x, y = _grid_coordinates(ps)
+    mask = 1.0 - x * x - y * y
+    dx = _kron([diff_matrix(ps[0]), np.eye(ps[1].n + 1)])
+    dy = _kron([np.eye(ps[0].n + 1), diff_matrix(ps[1])])
+    principal = poly_operator_matrix([(1.0, (2, 0)), (-1.0, (0, 2)), (y, (1, 0))], ps)
+    k = (mask[:, None] * principal - (4.0 * x)[:, None] * dx + (4.0 * y)[:, None] * dy
+         - np.diag(2.0 * x * y))
+    return k, mask
 
 
 # hand-differentiated p(x) = -(2/pi) x^3 + 3 x^2 - pi x
@@ -186,6 +206,15 @@ class TestSolveHyperbolic:
         scale = np.abs(expected).max()
         assert np.abs(k - expected).max() <= 1e-13 * scale
         np.testing.assert_array_equal(np.diag(mask_vector), mask)
+
+    @pytest.mark.parametrize("n1, n2", list(product(BIT_GRID, repeat=2)))
+    def test_assembly_bit_identical_to_reference(self, n1, n2):
+        ps = [uniform_partition(-1.0, 1.0, n1), uniform_partition(-1.0, 1.0, n2)]
+        k, mask = _hyperbolic_system(ps)
+        expected_k, expected_mask = reference_hyperbolic_system(ps)
+        for got, expected in ((k, expected_k), (mask, expected_mask)):
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
     def test_report_carries_partitions(self):
         report = solve_hyperbolic(6, 4)

@@ -246,6 +246,12 @@ class TestPlotFigure1:
         assert status == 0
         assert text.encode() == (DATA / "plot_figure1_15x15.dat").read_bytes()
 
+    def test_non_square_grid_matches_golden_file(self):
+        # n1 != n2: a swapped Dx/Dy or a reversed Kronecker order changes these bytes
+        status, text = run(RunConfig("plot-figure1", n1=6, n2=9))
+        assert status == 0
+        assert text.encode() == (DATA / "plot_figure1_6x9.dat").read_bytes()
+
 
 class TestConfigFile:
     def test_unknown_key_is_config_error(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -14,8 +15,6 @@ from liealg.lifting import (
     poly_operator_matrix,
     realize,
     space_of,
-    star,
-    unstar,
 )
 from liealg.linalg import numerical_rank
 from liealg.operators import diff_matrix
@@ -25,18 +24,50 @@ UNIT_SQUARE = [Partition(np.array([0.0, 1.0])), Partition(np.array([0.0, 1.0]))]
 Z01 = np.array([[-1.0, 1.0], [-1.0, 1.0]])
 
 
+def star(index, dims) -> int:
+    """1-based linear index of a multi-index, by the ordering contract of the lifting
+    module: dimension 1 varies fastest."""
+    return int(np.ravel_multi_index(index, [n + 1 for n in dims], order="F")) + 1
+
+
+def unstar(linear, dims) -> tuple[int, ...]:
+    """Multi-index of a 1-based linear index (inverse of :func:`star`)."""
+    return tuple(int(i) for i in np.unravel_index(linear - 1, [n + 1 for n in dims], order="F"))
+
+
+def code(index) -> float:
+    """A multi-index as the decimal number with digit alpha - 1 equal to i_alpha."""
+    return float(sum(i * 10**a for a, i in enumerate(index)))
+
+
+def index_codes(dims) -> np.ndarray:
+    """grid_eval of :func:`code` on integer nodes 0..n_alpha: the multi-index at each
+    position of a grid value vector."""
+    ps = [Partition(np.arange(n + 1.0)) for n in dims]
+    return grid_eval(lambda *xs: sum(x * 10.0**a for a, x in enumerate(xs)), ps)
+
+
+def monomial_factors(op: LiftedOperator) -> list[np.ndarray]:
+    """Per-dimension factors (Z_1^{k_1}, ..., Z_d^{k_d}) of a lifted monomial."""
+    return [np.linalg.matrix_power(diff_matrix(p), k) if k else np.eye(p.n + 1)
+            for p, k in zip(op.partitions, op.exponents)]
+
+
 def entrywise_realize(op: LiftedOperator) -> np.ndarray:
-    """Independent realization straight from the index rule."""
-    n = op.space.total
-    out = np.empty((n, n))
-    for row in range(1, n + 1):
-        i = unstar(row, op.space)
-        for col in range(1, n + 1):
-            j = unstar(col, op.space)
-            value = 1.0
-            for f, ia, ja in zip(op.factors, i, j):
-                value *= (1.0 if ia == ja else 0.0) if f is None else f[ia, ja]
-            out[row - 1, col - 1] = value
+    """Independent realization straight from the index rule, each product formed
+    from dimension d down to dimension 1."""
+    factors = monomial_factors(op)
+    sizes = [p.n + 1 for p in op.partitions]
+    total = prod(sizes)
+    out = np.empty((total, total))
+    for row in range(total):
+        i = np.unravel_index(row, sizes, order="F")
+        for col in range(total):
+            j = np.unravel_index(col, sizes, order="F")
+            value = factors[-1][i[-1], j[-1]]
+            for f, ia, ja in zip(factors[-2::-1], i[-2::-1], j[-2::-1]):
+                value = value * f[ia, ja]
+            out[row, col] = value
     return out
 
 
@@ -48,6 +79,15 @@ def kron_chain(factors) -> np.ndarray:
     return out
 
 
+def jittered_monomials(seed):
+    """Every monomial with exponents 0..2 on jittered grids of d = 1, 2, 3."""
+    rng = np.random.default_rng(seed)
+    for ns in ((3,), (2, 3), (2, 1, 2)):
+        ps = tuple(jittered_partition(rng, n) for n in ns)
+        for exponents in product(range(3), repeat=len(ns)):
+            yield LiftedOperator(ps, exponents)
+
+
 def assert_bit_identical(got, expected):
     assert got.dtype == expected.dtype
     np.testing.assert_array_equal(got, expected)
@@ -55,48 +95,59 @@ def assert_bit_identical(got, expected):
 
 
 class TestStar:
+    # star(i) of the module docstring is where grid_eval puts the value at node i
     def test_origin_maps_to_one(self):
-        assert star((0, 0, 0), MultiIndexSpace((2, 3, 4))) == 1
+        assert star((0, 0, 0), (2, 3, 4)) == 1
+        assert index_codes((2, 3, 4))[0] == code((0, 0, 0))
 
     def test_first_dimension_varies_fastest(self):
-        space = MultiIndexSpace((3, 2))
-        assert star((3, 0), space) == 4
+        assert star((3, 0), (3, 2)) == 4
+        np.testing.assert_array_equal(index_codes((3, 2))[:5],
+                                      [code((0, 0)), code((1, 0)), code((2, 0)), code((3, 0)),
+                                       code((0, 1))])
 
     def test_formula_example(self):
-        assert star((1, 2), MultiIndexSpace((2, 3))) == 8
-
-    def test_out_of_range(self):
-        space = MultiIndexSpace((2, 2))
-        with pytest.raises(ValueError, match="out of range"):
-            star((3, 0), space)
-        with pytest.raises(ValueError, match="length"):
-            star((1,), space)
+        # i_2 (n_1 + 1) + i_1 + 1 with n_1 = 2
+        assert star((1, 2), (2, 3)) == 2 * 3 + 1 + 1
+        assert index_codes((2, 3))[7] == code((1, 2))
 
 
 class TestUnstar:
     def test_one_maps_to_origin(self):
-        assert unstar(1, MultiIndexSpace((4, 5))) == (0, 0)
+        assert unstar(1, (4, 5)) == (0, 0)
+        assert index_codes((4, 5))[0] == code((0, 0))
 
     def test_formula_example(self):
-        assert unstar(8, MultiIndexSpace((2, 3))) == (1, 2)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            unstar(0, MultiIndexSpace((2, 2)))
-        with pytest.raises(ValueError, match="out of range"):
-            unstar(10, MultiIndexSpace((2, 2)))
+        assert unstar(8, (2, 3)) == (1, 2)
+        assert index_codes((2, 3))[8 - 1] == code((1, 2))
 
     def test_round_trip_exhaustive(self):
-        space = MultiIndexSpace((2, 3, 1))
-        for linear in range(1, space.total + 1):
-            assert star(unstar(linear, space), space) == linear
+        dims = (2, 3, 1)
+        codes = index_codes(dims)
+        for linear in range(1, codes.size + 1):
+            assert star(unstar(linear, dims), dims) == linear
+            assert codes[linear - 1] == code(unstar(linear, dims))
 
     @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_random(self, dims, data):
-        space = MultiIndexSpace(tuple(dims))
         index = tuple(data.draw(st.integers(0, n)) for n in dims)
-        assert unstar(star(index, space), space) == index
+        assert unstar(star(index, dims), dims) == index
+        assert index_codes(dims)[star(index, dims) - 1] == code(index)
+
+
+class TestMultiIndexSpace:
+    def test_dims_are_integers(self):
+        # int(2.7) == 2 would quietly describe a smaller grid
+        with pytest.raises(TypeError):
+            MultiIndexSpace((2.7, 3))
+        assert MultiIndexSpace((np.int64(2), True)).dims == (2, 1)
+        assert MultiIndexSpace((2, 3)).total == 12
+
+    def test_dims_range(self):
+        for dims in ((), (0, 2)):
+            with pytest.raises(ValueError, match="d >= 1"):
+                MultiIndexSpace(dims)
 
 
 class TestRealize:
@@ -116,22 +167,34 @@ class TestRealize:
         np.testing.assert_array_equal(got, expected)
 
     def test_identity(self):
-        space = MultiIndexSpace((2, 3))
-        np.testing.assert_array_equal(realize(LiftedOperator(space, (None, None))), np.eye(12))
+        ps = (uniform_partition(0.0, 1.0, 2), uniform_partition(0.0, 1.0, 3))
+        np.testing.assert_array_equal(realize(LiftedOperator(ps, (0, 0))), np.eye(12))
 
     def test_single_dimension_reduces_to_diff_matrix(self):
         p = Partition(np.array([0.0, 0.5, 2.0]))
         np.testing.assert_array_equal(realize(lifted_diff(1, [p])), diff_matrix(p))
 
+    def test_result_is_a_fresh_writable_array(self):
+        # for d = 1 the monomial is the stored, read-only Z; for d = 2 the second
+        # request is stored on the grid: neither may reach the caller
+        p = Partition(np.array([0.0, 0.5, 2.0]))
+        got = realize(lifted_diff(1, [p]))
+        assert got.flags.writeable and not np.shares_memory(got, diff_matrix(p))
+        np.testing.assert_array_equal(got, diff_matrix(p))
+        ps = [p, uniform_partition(0.0, 1.0, 2)]
+        first, second = realize(lifted_diff(2, ps)), realize(lifted_diff(2, ps))
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
+        second[0, 0] = np.nan
+        np.testing.assert_array_equal(realize(lifted_diff(2, ps)), first)
+
     def test_matches_entrywise_rule(self):
-        rng = np.random.default_rng(0)
-        for dims in ((2, 3), (1, 2, 2), (3,)):
-            space = MultiIndexSpace(dims)
-            factors = tuple(
-                None if rng.uniform() < 0.3 else rng.standard_normal((n + 1, n + 1))
-                for n in dims)
-            op = LiftedOperator(space, factors)
-            np.testing.assert_allclose(realize(op), entrywise_realize(op), atol=1e-15)
+        negative_zeros = 0
+        for op in jittered_monomials(0):
+            got = realize(op)
+            assert_bit_identical(got, entrywise_realize(op))
+            negative_zeros += np.count_nonzero((got == 0.0) & np.signbit(got))
+        assert negative_zeros > 0
 
     def test_mult_factors(self):
         # multiplying by a coordinate is the constant term with that
@@ -148,31 +211,22 @@ class TestRealize:
         with pytest.raises(ValueError, match="dimension index"):
             lifted_diff(3, UNIT_SQUARE)
 
-    def test_factor_shape_validation(self):
-        space = MultiIndexSpace((2, 2))
-        with pytest.raises(ValueError, match="factor shape"):
-            LiftedOperator(space, (np.eye(2), None))
-        with pytest.raises(ValueError, match="expected 2 factors"):
-            LiftedOperator(space, (None,))
+    def test_alpha_is_an_integer(self):
+        # int(1.5) == 1 would pick an operator the caller did not ask for
+        with pytest.raises(TypeError):
+            lifted_diff(1.5, UNIT_SQUARE)
+        assert lifted_diff(True, UNIT_SQUARE) == lifted_diff(1, UNIT_SQUARE)
+        assert lifted_diff(np.int64(2), UNIT_SQUARE).exponents == (0, 1)
 
 
 class TestKroneckerBitIdentity:
     def test_realize_matches_kron_chain(self):
-        rng = np.random.default_rng(13)
         negative_zeros = 0
-        for dims in ((3,), (2, 1), (1, 2, 2)):
-            space = MultiIndexSpace(dims)
-            for pattern in product((False, True), repeat=len(dims)):
-                factors = tuple(rng.standard_normal((n + 1, n + 1)) if dense else None
-                                for n, dense in zip(dims, pattern))
-                op = LiftedOperator(space, factors)
-                expected = kron_chain([np.eye(size) if f is None else f
-                                       for size, f in zip(space.sizes, op.factors)])
-                got = realize(op)
-                assert_bit_identical(got, expected)
-                assert got.flags.writeable
-                assert not any(np.shares_memory(got, f) for f in op.factors if f is not None)
-                negative_zeros += np.count_nonzero((got == 0.0) & np.signbit(got))
+        for op in jittered_monomials(13):
+            got = realize(op)
+            assert_bit_identical(got, kron_chain(monomial_factors(op)))
+            assert got.flags.writeable
+            negative_zeros += np.count_nonzero((got == 0.0) & np.signbit(got))
         # identity zeros times negative entries give -0.0, as in np.kron
         assert negative_zeros > 0
 
@@ -274,16 +328,20 @@ class TestGridEval:
     def test_matches_per_point_loop_in_3d(self):
         rng = np.random.default_rng(12)
         ps = [jittered_partition(rng, n) for n in (3, 1, 2)]
-        space = space_of(ps)
+        sizes = [p.n + 1 for p in ps]
 
         def f(x, y, z):
             return np.sin(x) * y + z**3 - x * z
 
-        expected = np.empty(space.total)
-        for k in range(space.total):
-            index = unstar(k + 1, space)
+        expected = np.empty(prod(sizes))
+        for k in range(expected.size):
+            index = np.unravel_index(k, sizes, order="F")
             expected[k] = f(*(p.nodes[i] for p, i in zip(ps, index)))
         np.testing.assert_array_equal(grid_eval(f, ps), expected)
+
+    def test_empty_grid_raises(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            grid_eval(lambda: 1.0, [])
 
 
 class TestDerivativeExactness:

@@ -193,7 +193,7 @@ class TestDiffPowerPerPartition:
     def test_assemblers_store_and_reuse_powers(self):
         p = jittered_partition(np.random.default_rng(17), 4)
         apply_operator_poly([(1.0, 2), (1.0, 0)], p)
-        assert sorted(p._powers) == [0, 2]
+        assert sorted(p._powers) == [0, 1, 2]  # Z^2 is built from Z, stored as power 1
         stored = p._powers[2]
         poly_operator_matrix([(1.0, (2, 1))], [p, p])
         assert p._powers[2] is stored and sorted(p._powers) == [0, 1, 2]
@@ -295,7 +295,7 @@ class TestLiftedMonomialStore:
         # a 2-D solve asks for each monomial once: no N x N product outlives it
         ps = [uniform_partition(-1.0, 1.0, 15), uniform_partition(-1.0, 1.0, 15)]
         _hyperbolic_system(ps)
-        assert len(ps[0]._lifted) == 3 and not stored(ps[0])
+        assert len(ps[0]._lifted) == 4 and not stored(ps[0])  # Dx^2, Dy^2, Dx, Dy
         assert not ps[1]._lifted
 
     @pytest.mark.parametrize("position", [0, 1])

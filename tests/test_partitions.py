@@ -249,6 +249,10 @@ class TestTensorInterpolate:
         with pytest.raises(ValueError, match="dimension"):
             tensor_interpolate(ps, np.zeros(4), [0.5])
 
+    def test_empty_grid_raises(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            tensor_interpolate([], [1.0], [])
+
 
 def test_partition_file_round_trip(tmp_path):
     p = Partition(np.array([0.001, 0.3932, math.pi / 2]))
