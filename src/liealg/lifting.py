@@ -86,7 +86,8 @@ def lifted_diff(alpha: int, ps: list[Partition]) -> LiftedOperator:
 
 def realize(op: LiftedOperator) -> np.ndarray:
     """N x N matrix of a lifted monomial, as a fresh writable array."""
-    return np.array(_monomial(list(op.partitions), op.exponents))
+    ps = list(op.partitions)
+    return np.array(_monomial(ps, _exponents(op.exponents, len(ps))))
 
 
 def _grid_coordinates(ps: list[Partition]) -> list[np.ndarray]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from math import prod
-from operator import index, is_
+from operator import index
 
 import numpy as np
 
@@ -35,7 +35,7 @@ def diff_matrix(p: Partition) -> np.ndarray:
     The matrix is built once per partition and stored on it, read-only; later
     calls return the same array.  A failure is not stored, so it repeats.
     """
-    return _diff_power(p, 1)
+    return _monomial([p], (1,))
 
 
 def _diff_matrices(nodes: np.ndarray) -> np.ndarray:
@@ -72,25 +72,6 @@ def _scale_rows(coeff, m: np.ndarray) -> np.ndarray:
     return coeff[:, None] * m
 
 
-def _diff_power(p: Partition, k: int) -> np.ndarray:
-    """Z^k of the partition (Z^0 = I), built once and stored on it, read-only.
-
-    A power that leaves the float64 range raises on every call and is never
-    stored.
-    """
-    power = p._powers.get(k)
-    if power is None:
-        if k == 0:
-            power = np.eye(p.n + 1)
-        elif k == 1:
-            power = _diff_matrices(p.nodes[None])[0]
-        else:
-            power = as_matrix(np.linalg.matrix_power(_diff_power(p, 1), k))  # rejects overflow
-        power.flags.writeable = False
-        p._powers[k] = power
-    return power
-
-
 def _exponents(exponents, d: int) -> tuple[int, ...]:
     """The derivative orders of one term, checked: d non-negative integers.
 
@@ -117,29 +98,34 @@ def _poly_matrix(terms, ps: list[Partition]) -> np.ndarray:
     total = prod(p.n + 1 for p in ps)
     out = np.zeros((total, total))
     for coeff, exponents in terms:
-        out += _scale_rows(coeff, _monomial(ps, exponents))
+        out += _scale_rows(coeff, _monomial(ps, _exponents(exponents, len(ps))))
     return out
 
 
 def _monomial(ps: list[Partition], exponents) -> np.ndarray:
-    """kron(Z_d^{k_d}, ..., Z_1^{k_1}) of a grid: :func:`_diff_power` for d = 1, else
-    stored read-only on ``ps[0]`` from its second request on the grid (a 2-D solve asks
-    once per monomial, so it keeps none).  An entry holds ``ps[1:]``, keyed by the
-    exponents and their ids, and a hit checks them with ``is``."""
-    exponents = _exponents(exponents, len(ps))
-    if len(ps) == 1:
-        return _diff_power(ps[0], exponents[0])
-    rest = tuple(ps[1:])
-    key = exponents + tuple(map(id, rest))
-    entry = ps[0]._lifted.get(key)
-    seen = entry is not None and all(map(is_, entry[0], rest))
-    if seen and entry[1] is not None:
-        return entry[1]
-    product = _kron([_diff_power(p, e) for p, e in zip(ps, exponents)])
-    if seen:  # the second request on this grid
-        product.flags.writeable = False
-    ps[0]._lifted[key] = (rest, product if seen else None)
-    return product
+    """kron(Z_d^{k_d}, ..., Z_1^{k_1}) of a grid, for exponents checked by :func:`_exponents`,
+    from the store on ``ps[0]`` keyed by ``(tuple(ps[1:]), exponents)``.  A power of one
+    partition (Z^0 = I) is stored read-only on first use, a product from its second request,
+    after a ``None`` marker (a 2-D solve asks once per monomial, so it keeps none).  A
+    failure is never stored, so it repeats."""
+    store, key = ps[0]._monomials, (tuple(ps[1:]), exponents)
+    matrix = store.get(key)
+    if matrix is not None:
+        return matrix
+    if len(ps) > 1:
+        matrix = _kron([_monomial([p], (k,)) for p, k in zip(ps, exponents)])
+        if key not in store:  # the first request on this grid
+            store[key] = None
+            return matrix
+    elif exponents == (0,):
+        matrix = np.eye(ps[0].n + 1)
+    elif exponents == (1,):
+        matrix = _diff_matrices(ps[0].nodes[None])[0]
+    else:  # as_matrix rejects an overflowing power
+        matrix = as_matrix(np.linalg.matrix_power(_monomial(ps, (1,)), exponents[0]))
+    matrix.flags.writeable = False
+    store[key] = matrix
+    return matrix
 
 
 def apply_operator_poly(terms, p: Partition) -> np.ndarray:

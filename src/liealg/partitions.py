@@ -13,6 +13,7 @@ so evaluation there is extrapolation, not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -29,15 +30,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Strictly increasing nodes x_0 .. x_n on the interval [x_0, x_n]."""
+    """Strictly increasing nodes x_0 .. x_n on the interval [x_0, x_n], compared and
+    hashed by identity: partitions with equal nodes are distinct."""
 
     nodes: np.ndarray
-    # read-only powers Z^k by k (Z itself at k = 1), stored by operators on first use
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # lifted monomials of grids that start with this partition, stored by the assembler
-    _lifted: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # read-only monomials of grids that start with this partition, keyed by
+    # (the grid's other partitions, exponents); stored by operators._monomial
+    _monomials: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         nodes = _as_real(self.nodes).copy()
@@ -93,12 +94,16 @@ def jittered_partition(rng: np.random.Generator, n: int, a: float = 0.0,
 
 def _jittered_nodes(rng: np.random.Generator, n: int, a: float = 0.0, b: float = 1.0,
                     max_shift: float = 0.3) -> np.ndarray:
-    """The nodes of :func:`jittered_partition`, from the same draws, unchecked."""
+    """The nodes of :func:`jittered_partition`, from the same draws, unchecked; a bad
+    ``n`` or ``max_shift`` raises before any draw."""
+    n = index(n)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 <= max_shift < 0.5:
         raise ValueError("max_shift must lie in [0, 0.5)")
     h = (b - a) / n
     nodes = a + h * np.arange(n + 1, dtype=float)
-    nodes[1:-1] += h * rng.uniform(-max_shift, max_shift, size=max(n - 1, 0))
+    nodes[1:-1] += h * rng.uniform(-max_shift, max_shift, size=n - 1)
     nodes[-1] = b
     return nodes
 
@@ -117,7 +122,8 @@ def _pi_weights(nodes: np.ndarray) -> np.ndarray:
 
 
 def lagrange_basis_row(p: Partition, x: float) -> np.ndarray:
-    """All basis values (l_0(x), ..., l_n(x)) at once; ``x`` must be finite."""
+    """All basis values (l_0(x), ..., l_n(x)) at once; ``x`` must be finite, and a
+    value that leaves the float64 range (x far outside the nodes) raises ValueError."""
     if not np.isfinite(x):
         raise ValueError(f"interpolation point must be finite, got {x}")
     nodes = p.nodes
@@ -127,8 +133,11 @@ def lagrange_basis_row(p: Partition, x: float) -> np.ndarray:
         row = np.zeros(nodes.size)
         row[hit[0]] = 1.0
         return row
-    full = np.prod(diffs)
-    return full / (diffs * pi_weights(p))
+    with np.errstate(all="ignore"):
+        row = np.prod(diffs) / (diffs * pi_weights(p))
+    if not np.all(np.isfinite(row)):
+        raise ValueError(f"basis row at x = {x} is not finite: the node products overflow")
+    return row
 
 
 def tensor_interpolate(ps: list[Partition], values, point) -> float:

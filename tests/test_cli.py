@@ -7,6 +7,7 @@ from liealg import bvp
 from liealg.cli import (
     SINGULAR_STATUS,
     TABLE_HEADER,
+    ConfigError,
     RunConfig,
     _table_row,
     build_config,
@@ -324,3 +325,12 @@ class TestConfigFile:
         assert run_cli(capsys, "diffmat", "--n", "1")[0] == 0
         status, _, err = run_cli(capsys, "diffmat", "--n", "0")
         assert status == 2 and "n must lie in 1..20" in err
+
+    def test_unknown_command_is_config_error(self, capsys):
+        # argparse picks the command; a hand-built config with another one fails in run
+        with pytest.raises(ConfigError, match="unknown command 'bogus'"):
+            run(RunConfig(command="bogus"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bogus"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err

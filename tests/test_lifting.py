@@ -219,6 +219,15 @@ class TestRealize:
         assert lifted_diff(np.int64(2), UNIT_SQUARE).exponents == (0, 1)
 
 
+class TestLiftedOperatorIdentity:
+    def test_equal_and_hashed_through_partition_identity(self):
+        p, q = Partition(np.array([0.0, 1.0])), Partition(np.array([0.0, 1.0]))
+        assert lifted_diff(1, [p, q]) == lifted_diff(1, [p, q])
+        assert hash(lifted_diff(1, [p, q])) == hash(lifted_diff(1, [p, q]))
+        assert lifted_diff(1, [p, q]) != lifted_diff(1, [q, p])  # equal nodes, other grid
+        assert lifted_diff(1, [p, q]) != lifted_diff(2, [p, q])
+
+
 class TestKroneckerBitIdentity:
     def test_realize_matches_kron_chain(self):
         negative_zeros = 0

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from liealg.lifting import poly_operator_matrix
 from liealg.linalg import _kron, _norm_inf, numerical_rank
 from liealg.operators import (
     _diff_matrices,
-    _diff_power,
     _monomial,
     apply_operator_poly,
     diff_matrix,
@@ -179,30 +180,51 @@ class TestDiffMatrixProperties:
             assert residual <= 1e-12 * _norm_inf(z) * np.abs(v).max(), j
 
 
+def power(p, k):
+    """Z^k of one partition: the d = 1 monomial, stored under ``((), (k,))``."""
+    return _monomial([p], (k,))
+
+
+def powers(p):
+    """The powers in a partition's store, by k."""
+    return {key[1][0]: matrix for key, matrix in p._monomials.items() if not key[0]}
+
+
+def products(p):
+    """The product entries in a partition's store: a ``None`` marker or a matrix each."""
+    return {key: matrix for key, matrix in p._monomials.items() if key[0]}
+
+
+def stored(p):
+    """The product matrices stored on a partition."""
+    return [matrix for matrix in products(p).values() if matrix is not None]
+
+
 class TestDiffPowerPerPartition:
     def test_read_only_repeated_and_exact(self):
         p = jittered_partition(np.random.default_rng(16), 6)
         z = diff_matrix(p)
+        assert power(p, 1) is z and p._monomials[((), (1,))] is z
         for k in range(9):
-            power = _diff_power(p, k)
-            assert _diff_power(p, k) is power
-            assert not power.flags.writeable
-            np.testing.assert_array_equal(power, np.linalg.matrix_power(z, k))
-        np.testing.assert_array_equal(_diff_power(p, 0), np.eye(7))
+            kth = power(p, k)
+            assert power(p, k) is kth
+            assert not kth.flags.writeable
+            np.testing.assert_array_equal(kth, np.linalg.matrix_power(z, k))
+        np.testing.assert_array_equal(power(p, 0), np.eye(7))
 
     def test_assemblers_store_and_reuse_powers(self):
         p = jittered_partition(np.random.default_rng(17), 4)
         apply_operator_poly([(1.0, 2), (1.0, 0)], p)
-        assert sorted(p._powers) == [0, 1, 2]  # Z^2 is built from Z, stored as power 1
-        stored = p._powers[2]
+        assert sorted(powers(p)) == [0, 1, 2]  # Z^2 is built from Z, stored as power 1
+        kept = powers(p)[2]
         poly_operator_matrix([(1.0, (2, 1))], [p, p])
-        assert p._powers[2] is stored and sorted(p._powers) == [0, 1, 2]
+        assert powers(p)[2] is kept and sorted(powers(p)) == [0, 1, 2]
 
     def test_equal_partition_gets_its_own_powers(self):
         nodes = np.array([0.0, 0.5, 2.0, 2.5])
         first, second = Partition(nodes), Partition(nodes.copy())
-        assert _diff_power(first, 2) is not _diff_power(second, 2)
-        np.testing.assert_array_equal(_diff_power(first, 2), _diff_power(second, 2))
+        assert power(first, 2) is not power(second, 2)
+        np.testing.assert_array_equal(power(first, 2), power(second, 2))
 
     def test_overflowing_power_raises_each_call_and_is_not_stored(self):
         # Z has entries of 1e200, so Z^2 overflows float64
@@ -211,7 +233,7 @@ class TestDiffPowerPerPartition:
         for _ in range(2):
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
                 apply_operator_poly([(1.0, 2)], p)
-        assert 2 not in p._powers
+        assert 2 not in powers(p)
 
 
 def fresh_kron_sum(terms, ps):
@@ -224,11 +246,6 @@ def fresh_kron_sum(terms, ps):
         product = _kron(factors)
         out += (coeff[:, None] if np.ndim(coeff) else coeff) * product
     return out
-
-
-def stored(p):
-    """The matrices stored on a partition's lifted-monomial entries."""
-    return [matrix for _, matrix in p._lifted.values() if matrix is not None]
 
 
 class TestLiftedMonomialStore:
@@ -257,6 +274,7 @@ class TestLiftedMonomialStore:
         ps = [jittered_partition(np.random.default_rng(44), n) for n in (3, 4)]
         first = _monomial(ps, (2, 1))
         assert first.flags.writeable and not stored(ps[0])
+        assert products(ps[0]) == {((ps[1],), (2, 1)): None}
         second = _monomial(ps, (2, 1))
         [kept] = stored(ps[0])
         assert kept is second and not second.flags.writeable
@@ -265,8 +283,9 @@ class TestLiftedMonomialStore:
 
     def test_one_dimension_is_the_stored_power(self):
         p = jittered_partition(np.random.default_rng(45), 4)
-        assert _monomial([p], (2,)) is _diff_power(p, 2)
-        assert not p._lifted
+        assert _monomial([p], (2,)) is p._monomials[((), (2,))]
+        assert diff_matrix(p) is p._monomials[((), (1,))]
+        assert not products(p)
 
     def test_equal_partitions_get_their_own_entries(self):
         nodes = np.array([0.0, 0.5, 2.0, 2.5])
@@ -280,23 +299,35 @@ class TestLiftedMonomialStore:
         assert _monomial([p, q], (1, 2)) is first and _monomial([p, q_copy], (1, 2)) is second
 
     def test_entry_of_another_grid_is_never_served(self):
-        # an entry keyed by the id of r but holding q, as if r had reused q's id
+        # the key holds the grid's other partitions, so it keeps them alive: no
+        # partition made later can stand in for one of them
         p, q, r = (jittered_partition(np.random.default_rng(46 + i), 3) for i in range(3))
-        stale = np.full((16, 16), np.nan)
-        stale.flags.writeable = False
-        p._lifted[(1, 1, id(r))] = ((q,), stale)
+        _monomial([p, q], (1, 1))
+        kept = _monomial([p, q], (1, 1))
+        q_ref, p_ref = weakref.ref(q), weakref.ref(p)
+        del q
+        gc.collect()
+        [(key, entry)] = products(p).items()
+        assert q_ref() is not None and key == ((q_ref(),), (1, 1)) and entry is kept
         for _ in range(3):
             got = _monomial([p, r], (1, 1))
+            assert got is not kept
             np.testing.assert_array_equal(got, fresh_kron_sum([(1.0, (1, 1))], [p, r]))
-        [kept] = stored(p)
-        assert kept is got
+        assert not np.array_equal(got, kept)
+        first, second = stored(p)
+        assert first is kept and second is got
+        del p, kept, got, key, entry, first, second
+        gc.collect()
+        assert p_ref() is None and q_ref() is None  # the store goes with its partition
 
     def test_monomials_asked_for_once_store_no_matrix(self):
         # a 2-D solve asks for each monomial once: no N x N product outlives it
         ps = [uniform_partition(-1.0, 1.0, 15), uniform_partition(-1.0, 1.0, 15)]
         _hyperbolic_system(ps)
-        assert len(ps[0]._lifted) == 4 and not stored(ps[0])  # Dx^2, Dy^2, Dx, Dy
-        assert not ps[1]._lifted
+        markers = products(ps[0])
+        assert len(markers) == 4 and not stored(ps[0])  # Dx, Dy, Dx^2, Dy^2
+        assert {exponents for _, exponents in markers} == {(1, 0), (0, 1), (2, 0), (0, 2)}
+        assert not products(ps[1])
 
     @pytest.mark.parametrize("position", [0, 1])
     def test_overflowing_power_raises_each_call_and_is_not_stored(self, position):
@@ -306,7 +337,7 @@ class TestLiftedMonomialStore:
         for _ in range(3):
             with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
                 poly_operator_matrix([(1.0, (2, 2))], ps)
-        assert not ps[0]._lifted
+        assert not products(ps[0]) and 2 not in powers(ps[position])
 
 
 class TestMultMatrix:

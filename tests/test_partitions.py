@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from liealg.partitions import (
     Partition,
     _check_nodes,
+    _jittered_nodes,
     jittered_partition,
     lagrange_basis_row,
     pi_weights,
@@ -51,6 +53,18 @@ class TestPartition:
         p = Partition(np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
             p.nodes[0] = 5.0
+
+    def test_compared_by_identity(self):
+        nodes = np.array([0.0, 1.0, 2.0])
+        p, q = Partition(nodes), Partition(nodes.copy())
+        assert (p == q) is False and p != q
+        assert (p == p) is True
+
+    def test_hashed_by_identity(self):
+        p, q = Partition(np.array([0.0, 1.0])), Partition(np.array([0.0, 1.0]))
+        assert hash(p) == hash(p) and len({p, q, p}) == 2
+        keyed = {p: "p", q: "q"}
+        assert keyed[p] == "p" and keyed[q] == "q"
 
 
 class TestUniformPartition:
@@ -108,6 +122,34 @@ def test_jittered_nodes_unchanged_for_fixed_seeds(key):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
+# sha256 of the float64 nodes of jittered_partition(default_rng(n), n), n = 1..12, in turn
+JITTERED_NODES_1_TO_12_SHA256 = "91b9e16e09c2ab43fa7bd28481a478ad4f2c2e8a411298b5b4e5194da034b574"
+
+
+def test_jittered_nodes_keep_their_bits_for_n_1_to_12():
+    nodes = np.concatenate([jittered_partition(np.random.default_rng(n), n).nodes
+                            for n in range(1, 13)])
+    assert hashlib.sha256(nodes.astype("<f8").tobytes()).hexdigest() == \
+        JITTERED_NODES_1_TO_12_SHA256
+
+
+@pytest.mark.parametrize("n, max_shift, error, match", [
+    (0, 0.3, ValueError, "n >= 1"),
+    (-1, 0.3, ValueError, "n >= 1"),
+    (np.int64(0), 0.3, ValueError, "n >= 1"),
+    (2.0, 0.3, TypeError, "integer"),
+    (1.5, 0.3, TypeError, "integer"),
+    (4, 0.5, ValueError, "max_shift"),
+])
+def test_jittered_rejects_bad_input_before_any_draw(n, max_shift, error, match):
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    for make in (jittered_partition, _jittered_nodes):
+        with pytest.raises(error, match=match):
+            make(rng, n, max_shift=max_shift)
+    assert rng.bit_generator.state == state
+
+
 class TestPiWeights:
     @pytest.mark.parametrize("nodes,expected", [
         ([0.0, 1.0], [-1.0, 1.0]),
@@ -159,6 +201,18 @@ class TestNonFinitePoint:
         ps = [Partition(np.array([0.0, 1.0])), Partition(np.array([0.0, 1.0]))]
         with pytest.raises(ValueError, match="finite"):
             tensor_interpolate(ps, np.ones(4), [0.5, x])
+
+    # 21 nodes on [0, 1] at x = 1e20: prod(x - x_m) is about 1e420
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_basis_row_overflow_raises(self):
+        with pytest.raises(ValueError, match="not finite"):
+            lagrange_basis_row(uniform_partition(0.0, 1.0, 20), 1e20)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tensor_interpolate_overflow_raises(self):
+        ps = [uniform_partition(0.0, 1.0, 2), uniform_partition(0.0, 1.0, 20)]
+        with pytest.raises(ValueError, match="not finite"):
+            tensor_interpolate(ps, np.ones(63), [0.5, 1e20])
 
     def test_tensor_interpolate_rejects_complex_input(self):
         ps = [Partition(np.array([0.0, 1.0])), Partition(np.array([0.0, 1.0]))]
