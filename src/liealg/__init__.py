@@ -8,8 +8,6 @@ structure of these matrices and two boundary-value experiments built on them.
 
 from .audits import (
     AuditReport,
-    audit_diff_rank,
-    audit_lifted_poly_rank,
     audit_rank_ladder,
     audit_nilpotent_poly_rank,
     counterexample_det,
@@ -47,9 +45,7 @@ from .operators import (
 from .partitions import (
     Partition,
     jittered_partition,
-    pi_weights,
     read_partition,
-    tensor_interpolate,
     uniform_partition,
 )
 

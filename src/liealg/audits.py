@@ -23,11 +23,9 @@ from .partitions import Partition, _check_nodes, _jittered_nodes, uniform_partit
 __all__ = [
     "AuditReport",
     "NILPOTENCY_TOL",
-    "audit_diff_rank",
     "audit_rank_ladder",
     "audit_nilpotent_poly_rank",
     "counterexample_det",
-    "audit_lifted_poly_rank",
     "random_poly_rank_case",
     "default_suite",
     "reports_to_csv",
@@ -74,18 +72,10 @@ def _ranks(stack: np.ndarray, floors, rel_tol: float) -> list[int]:
     return [next(ranks) if alive else 0 for alive in live]
 
 
-def audit_diff_rank(p: Partition, rel_tol: float = 1e-8,
-                    prefix: str = "diff_") -> tuple[AuditReport, AuditReport]:
-    """Check that the differentiation matrix has rank n and vanishing (n+1)-th power.
-
-    The two case names are ``prefix`` followed by ``rank[n=..]`` and
-    ``nilpotent[n=..]``.
-    """
-    return tuple(_diff_rank_reports([(p.nodes, prefix)], rel_tol))
-
-
 def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
-    """:func:`audit_diff_rank` of each ``(nodes, prefix)``, reports in case order.
+    """Check that the differentiation matrix of each ``(nodes, prefix)`` has rank n and a
+    vanishing (n+1)-th power: reports ``prefix`` + ``rank[n=..]`` and ``nilpotent[n=..]``
+    for each case, in case order.
 
     Rows of equal n are checked as one stack of Z and Z^(n+1): one stacked
     matrix power and one :func:`_ranks` call per n.
@@ -212,13 +202,9 @@ def counterexample_det(a, b):
     return float(det) if det.ndim == 0 else det
 
 
-def audit_lifted_poly_rank(terms, ps: list[Partition], rel_tol: float = 1e-8) -> AuditReport:
-    """Check the constant-term full-rank predicate against the numerical rank."""
-    return _lifted_poly_reports([terms], ps, rel_tol)[0]
-
-
 def _lifted_poly_reports(cases, ps: list[Partition], rel_tol: float) -> list[AuditReport]:
-    """:func:`audit_lifted_poly_rank` of each term list on one grid, with one batched SVD."""
+    """Check the constant-term full-rank predicate against the numerical rank, for each
+    term list on one grid, with one batched SVD."""
     space = space_of(ps)
     if space.total > MAX_LIFTED_TOTAL:
         raise ValueError(f"size guard: N={space.total} exceeds {MAX_LIFTED_TOTAL}")

@@ -55,7 +55,7 @@ def _parse_config_file(path: str) -> dict:
     """Typed values of a ``key=value`` file; an unknown key or a bad value is an error."""
     values: dict = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -67,7 +67,7 @@ def _parse_config_file(path: str) -> dict:
                 if key not in CONFIG_KEYS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = _coerce(key, value.strip(), f"{path}:{lineno}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 

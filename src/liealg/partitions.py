@@ -1,13 +1,12 @@
-"""Partitions of an interval and Lagrange interpolation on them.
+"""Partitions of an interval and their pi-weights.
 
-A partition is a strictly increasing node set x_0 < x_1 < ... < x_n.  The
-basis polynomial attached to node k is
+A partition is a strictly increasing node set x_0 < x_1 < ... < x_n.  Node k
+carries the pi-weight
 
-    l_k(x) = prod_{m != k} (x - x_m) / pi_k,   pi_k = prod_{m != k} (x_k - x_m),
+    pi_k = prod_{m != k} (x_k - x_m),
 
-evaluated by the direct product formula with precomputed pi-weights.  Points
-outside [x_0, x_n] are allowed: the basis functions are global polynomials,
-so evaluation there is extrapolation, not an error.
+the denominator of its Lagrange basis polynomial; the differentiation matrix
+of :mod:`liealg.operators` is built from these weights.
 """
 
 from __future__ import annotations
@@ -17,15 +16,12 @@ from operator import index
 
 import numpy as np
 
-from .linalg import _as_real, _kron
+from .linalg import _as_real
 
 __all__ = [
     "Partition",
     "uniform_partition",
     "jittered_partition",
-    "pi_weights",
-    "lagrange_basis_row",
-    "tensor_interpolate",
     "read_partition",
 ]
 
@@ -45,14 +41,6 @@ class Partition:
         _check_nodes(nodes)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
-
-    @property
-    def a(self) -> float:
-        return float(self.nodes[0])
-
-    @property
-    def b(self) -> float:
-        return float(self.nodes[-1])
 
     @property
     def n(self) -> int:
@@ -108,55 +96,12 @@ def _jittered_nodes(rng: np.random.Generator, n: int, a: float = 0.0, b: float =
     return nodes
 
 
-def pi_weights(p: Partition) -> np.ndarray:
-    """Weights pi_k = prod_{m != k} (x_k - x_m), computed by direct product."""
-    return _pi_weights(p.nodes)
-
-
 def _pi_weights(nodes: np.ndarray) -> np.ndarray:
     """pi-weights of each row of a ``(..., m)`` node array: the one pi formula."""
     m = nodes.shape[-1]
     diff = nodes[..., :, None] - nodes[..., None, :]
     diff.reshape(-1, m * m)[:, ::m + 1] = 1.0  # the diagonal of each matrix
     return diff.prod(axis=-1)
-
-
-def lagrange_basis_row(p: Partition, x: float) -> np.ndarray:
-    """All basis values (l_0(x), ..., l_n(x)) at once; ``x`` must be finite, and a
-    value that leaves the float64 range (x far outside the nodes) raises ValueError."""
-    if not np.isfinite(x):
-        raise ValueError(f"interpolation point must be finite, got {x}")
-    nodes = p.nodes
-    diffs = x - nodes
-    hit = np.flatnonzero(diffs == 0.0)
-    if hit.size:  # x is a node: the row is exactly a unit vector
-        row = np.zeros(nodes.size)
-        row[hit[0]] = 1.0
-        return row
-    with np.errstate(all="ignore"):
-        row = np.prod(diffs) / (diffs * pi_weights(p))
-    if not np.all(np.isfinite(row)):
-        raise ValueError(f"basis row at x = {x} is not finite: the node products overflow")
-    return row
-
-
-def tensor_interpolate(ps: list[Partition], values, point) -> float:
-    """Evaluate the tensor-product interpolant at a d-dimensional point.
-
-    ``values`` is ordered with the dimension-1 index varying fastest, matching
-    the grid linearization used throughout (see :mod:`liealg.lifting`).
-    """
-    if not ps:
-        raise ValueError("need d >= 1 partitions")
-    point = _as_real(point)
-    if point.shape != (len(ps),):
-        raise ValueError(f"expected a point of dimension {len(ps)}, got shape {point.shape}")
-    values = _as_real(values)
-    total = np.prod([p.n + 1 for p in ps])
-    if values.shape != (total,):
-        raise ValueError(f"expected {total} grid values, got shape {values.shape}")
-    rows = [lagrange_basis_row(p, float(x))[None, :] for p, x in zip(ps, point)]
-    return float(_kron(rows).ravel() @ values)
 
 
 def read_partition(path) -> Partition:

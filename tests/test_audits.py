@@ -12,8 +12,6 @@ from liealg.audits import (
     _poly_ranks,
     _random_poly_reports,
     _ranks,
-    audit_diff_rank,
-    audit_lifted_poly_rank,
     audit_rank_ladder,
     audit_nilpotent_poly_rank,
     counterexample_det,
@@ -44,7 +42,7 @@ def reference_power_rank(h, k, rel_tol, tol):
 
 
 def reference_diff_rank(p, prefix, rel_tol=1e-8):
-    """audit_diff_rank one matrix at a time: 2-D rank, 2-D power and norms."""
+    """_diff_rank_reports one matrix at a time: 2-D rank, 2-D power and norms."""
     n = p.n
     z = diff_matrix(p)
     power = np.linalg.matrix_power(z, n + 1)
@@ -123,24 +121,24 @@ class TestRanks:
 
 class TestDiffRankAudit:
     def test_two_nodes(self):
-        rank_report, nil_report = audit_diff_rank(P01)
+        rank_report, nil_report = _diff_rank_reports([(P01.nodes, "diff_")], 1e-8)
         assert (rank_report.expected, rank_report.observed) == (1, 1)
         assert nil_report.passed
 
     def test_three_nodes(self):
-        rank_report, nil_report = audit_diff_rank(P012)
+        rank_report, nil_report = _diff_rank_reports([(P012.nodes, "diff_")], 1e-8)
         assert rank_report.passed and rank_report.observed == 2
         assert nil_report.passed
 
     def test_random_eight_node_partition(self):
         p = jittered_partition(np.random.default_rng(0), 7)
-        rank_report, nil_report = audit_diff_rank(p)
+        rank_report, nil_report = _diff_rank_reports([(p.nodes, "diff_")], 1e-8)
         assert rank_report.observed == 7
         assert rank_report.passed and nil_report.passed
 
     def test_conditioning_guard(self):
         with pytest.raises(ValueError, match="conditioning guard"):
-            audit_diff_rank(uniform_partition(0, 1, 13))
+            _diff_rank_reports([(uniform_partition(0, 1, 13).nodes, "diff_")], 1e-8)
         with pytest.raises(ValueError, match="conditioning guard"):
             _diff_rank_reports([(P01.nodes, "a_"), (uniform_partition(0, 1, 13).nodes, "b_")],
                                1e-8)
@@ -160,7 +158,8 @@ class TestDiffRankAudit:
             cases.append((jittered_partition(rng, n), f"diff_random{t:03d}_"))
         expected = [r for p, prefix in cases for r in reference_diff_rank(p, prefix)]
         assert _diff_rank_reports([(p.nodes, prefix) for p, prefix in cases], 1e-8) == expected
-        assert [r for p, prefix in cases for r in audit_diff_rank(p, 1e-8, prefix)] == expected
+        assert [r for p, prefix in cases
+                for r in _diff_rank_reports([(p.nodes, prefix)], 1e-8)] == expected
 
 
 class TestRankLadder:
@@ -182,7 +181,7 @@ class TestRankLadder:
         reports = audit_rank_ladder(JORDAN2, prefix="rank_ladder_jordan2")
         assert [r.case_name for r in reports] == [
             "rank_ladder_jordan2[k=0]", "rank_ladder_jordan2[k=1]", "rank_ladder_jordan2[k=2]"]
-        names = [r.case_name for r in audit_diff_rank(P012, prefix="diff_random007_")]
+        names = [r.case_name for r in _diff_rank_reports([(P012.nodes, "diff_random007_")], 1e-8)]
         assert names == ["diff_random007_rank[n=2]", "diff_random007_nilpotent[n=2]"]
 
     @pytest.mark.parametrize("seed", [42, 7, 1])
@@ -343,29 +342,30 @@ class TestLiftedPolyRankAudit:
     PS33 = [uniform_partition(0, 3, 3), uniform_partition(-1.5, 1.5, 3)]
 
     def test_full_rank_with_constant(self):
-        report = audit_lifted_poly_rank([(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], self.PS33)
+        [report] = _lifted_poly_reports([[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))]], self.PS33,
+                                        1e-8)
         assert report.passed and report.expected is True
 
     def test_deficient_without_constant(self):
-        report = audit_lifted_poly_rank([(1.0, (2, 0)), (1.0, (0, 1))], self.PS33)
+        [report] = _lifted_poly_reports([[(1.0, (2, 0)), (1.0, (0, 1))]], self.PS33, 1e-8)
         assert report.passed and report.expected is False
 
     def test_pure_constant(self):
         ps = [uniform_partition(0, 1, 2), uniform_partition(0, 1, 2)]
-        report = audit_lifted_poly_rank([(-7.0, (0, 0))], ps)
+        [report] = _lifted_poly_reports([[(-7.0, (0, 0))]], ps, 1e-8)
         assert report.passed and report.expected is True
 
     def test_size_guard(self):
         ps = [uniform_partition(0, 1, 16), uniform_partition(0, 1, 16)]
         with pytest.raises(ValueError, match="size guard"):
-            audit_lifted_poly_rank([(1.0, (0, 0))], ps)
+            _lifted_poly_reports([[(1.0, (0, 0))]], ps, 1e-8)
 
     def test_stacked_family_equals_per_case_calls(self):
         ps = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
         family = list(_lifted_poly_family())
         reports = _lifted_poly_reports(family, ps, 1e-8)
         assert len(reports) == 232
-        assert reports == [audit_lifted_poly_rank(terms, ps) for terms in family]
+        assert reports == [r for terms in family for r in _lifted_poly_reports([terms], ps, 1e-8)]
         assert [r.observed for r in reports] == [
             numerical_rank(poly_operator_matrix(terms, ps)) == 16 for terms in family]
 

@@ -301,6 +301,13 @@ class TestConfigFile:
         status, _, err = run_cli(capsys, "table3", "--config", str(tmp_path / "nope.cfg"))
         assert status == 2
 
+    def test_undecodable_file_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00n=3\n")
+        status, out, err = run_cli(capsys, "diffmat", "--config", str(cfg))
+        assert status == 2 and out == ""
+        assert err.startswith(f"liealg: cannot read config file {cfg}: ") and err.count("\n") == 1
+
     def test_out_of_range_n_rejected(self, capsys):
         status, _, err = run_cli(capsys, "table3", "--n1", "25")
         assert status == 2 and "n1" in err

@@ -3,6 +3,7 @@ import warnings
 import weakref
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,13 +18,7 @@ from liealg.operators import (
     diff_matrix,
     mult_matrix,
 )
-from liealg.partitions import (
-    Partition,
-    jittered_partition,
-    lagrange_basis_row,
-    pi_weights,
-    uniform_partition,
-)
+from liealg.partitions import Partition, jittered_partition, uniform_partition
 
 P01 = Partition(np.array([0.0, 1.0]))
 P012 = Partition(np.array([0.0, 1.0, 2.0]))
@@ -82,25 +77,19 @@ class TestDiffMatrix:
             assert np.abs(power).sum(axis=1).max() <= 1e-8 * norm_z ** (n + 1)
 
     def test_columns_interpolate_basis_derivatives(self):
-        # independent oracle: differentiate l_k by the product rule and compare
-        # with the interpolant sum_j Z[j,k] l_j(x)
+        # independent oracle: each l_k in power-basis coefficients, from its roots,
+        # then d/dx l_k against the interpolant sum_j Z[j,k] l_j(x)
         rng = np.random.default_rng(7)
         p = jittered_partition(rng, 5)
         z = diff_matrix(p)
-        pi = pi_weights(p)
-        nodes = p.nodes
-
-        def basis_derivative(k, x):
-            others = np.delete(nodes, k)
-            total = 0.0
-            for m in range(others.size):
-                total += np.prod(x - np.delete(others, m))
-            return total / pi[k]
-
+        basis = []
+        for k, x_k in enumerate(p.nodes):
+            numerator = P.polyfromroots(np.delete(p.nodes, k))
+            basis.append(numerator / P.polyval(x_k, numerator))
         for x in rng.uniform(0.0, 1.0, 50):
-            for k in range(p.n + 1):
-                via_matrix = lagrange_basis_row(p, x) @ z[:, k]
-                assert abs(basis_derivative(k, x) - via_matrix) <= 1e-10
+            values = np.array([P.polyval(x, l_k) for l_k in basis])
+            for k, l_k in enumerate(basis):
+                assert abs(P.polyval(x, P.polyder(l_k)) - values @ z[:, k]) <= 1e-10
 
 
 def chebyshev_lobatto_partition(n: int, a: float, b: float) -> Partition:
