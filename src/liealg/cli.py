@@ -44,9 +44,27 @@ class RunConfig:
     seed: int = 42
 
 
-# the RunConfig fields a --config file may set
-CONFIG_KEYS = ("nodes", "a", "b", "n", "n1", "n2", "out", "rel_tol",
-               "include_zero_endpoint", "seed")
+COMMANDS = {
+    "diffmat": "dump the differentiation matrix of a partition",
+    "rank-audit": "run the rank/nilpotency audit suite (CSV)",
+    "table1": "1-D experiment errors, collocation vs shooting (CSV)",
+    "table3": "2-D experiment errors (CSV)",
+    "plot-figure1": "2-D solution surface as gridded x y u data",
+}
+# every RunConfig field but the command: (value type, the commands that take it
+# as a flag, flag help); a --config file may set any of them
+SETTINGS = {
+    "nodes": (str, ("diffmat",), "comma-separated node list, or a file with one node per line"),
+    "a": (float, ("diffmat",), None),
+    "b": (float, ("diffmat",), None),
+    "n": (int, ("diffmat",), None),
+    "n1": (int, ("table3", "plot-figure1"), None),
+    "n2": (int, ("table3", "plot-figure1"), None),
+    "out": (str, tuple(COMMANDS), "output file (default: stdout)"),
+    "rel_tol": (float, ("rank-audit",), None),
+    "include_zero_endpoint": (bool, ("table1",), None),
+    "seed": (int, (), None),
+}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -63,88 +81,53 @@ def _parse_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
-                if key not in CONFIG_KEYS:
+                key, value = key.strip().replace("-", "_"), value.strip()
+                if key not in SETTINGS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _coerce(key, value.strip(), f"{path}:{lineno}")
+                kind = SETTINGS[key][0]
+                try:
+                    values[key] = _BOOLEANS[value.lower()] if kind is bool else kind(value)
+                except (KeyError, ValueError) as exc:
+                    hint = f" (expected one of {', '.join(_BOOLEANS)})" if kind is bool else ""
+                    raise ConfigError(
+                        f"{path}:{lineno}: bad value for {key}: {value!r}{hint}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
-def _coerce(key: str, value: str, where: str):
-    try:
-        if key in ("n", "n1", "n2", "seed"):
-            return int(value)
-        if key in ("a", "b", "rel_tol"):
-            return float(value)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad value for {key}: {value!r}") from exc
-    if key == "include_zero_endpoint":
-        flag = _BOOLEANS.get(value.lower())
-        if flag is None:
-            raise ConfigError(f"{where}: bad value for {key}: {value!r} "
-                              f"(expected one of {', '.join(_BOOLEANS)})")
-        return flag
-    return value
-
-
-def build_config(argv: list[str]) -> RunConfig:
+def build_config(argv: list[str] | None) -> RunConfig:
+    """The validated configuration of ``argv`` (``None``: ``sys.argv[1:]``): flags win
+    over the ``--config`` file, the file over ``LIEALG_SEED``, that over the defaults."""
     parser = argparse.ArgumentParser(
         prog="liealg",
         description="Matrix representations of differential operators: dumps, audits, experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, command_help in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for key, (kind, commands, flag_help) in SETTINGS.items():
+            if command in commands:
+                kw = dict(action="store_true", default=None) if kind is bool else dict(type=kind)
+                p.add_argument("--" + key.replace("_", "-"), help=flag_help, **kw)
         p.add_argument("--config", help="key=value file; explicit flags win")
-        p.add_argument("--out", help="output file (default: stdout)")
-
-    p = sub.add_parser("diffmat", help="dump the differentiation matrix of a partition")
-    p.add_argument("--nodes", help="comma-separated node list, or a file with one node per line")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--n", type=int)
-    add_common(p)
-
-    p = sub.add_parser("rank-audit", help="run the rank/nilpotency audit suite (CSV)")
-    p.add_argument("--rel-tol", type=float, dest="rel_tol")
-    add_common(p)
-
-    p = sub.add_parser("table1", help="1-D experiment errors, collocation vs shooting (CSV)")
-    p.add_argument("--include-zero-endpoint", action="store_true", default=None)
-    add_common(p)
-
-    p = sub.add_parser("table3", help="2-D experiment errors (CSV)")
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    add_common(p)
-
-    p = sub.add_parser("plot-figure1", help="2-D solution surface as gridded x y u data")
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n2", type=int)
-    add_common(p)
 
     args = parser.parse_args(argv)
-    file_values = _parse_config_file(args.config) if args.config else {}
-
-    config = RunConfig(command=args.command)
     seed_env = os.environ.get("LIEALG_SEED")
-    if seed_env is not None:
-        try:
-            config.seed = int(seed_env)
-        except ValueError as exc:
-            raise ConfigError(f"LIEALG_SEED must be an integer, got {seed_env!r}") from exc
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            setattr(config, key, flag)
-        elif key in file_values:
-            setattr(config, key, file_values[key])
+    try:
+        values = {} if seed_env is None else {"seed": int(seed_env)}
+    except ValueError as exc:
+        raise ConfigError(f"LIEALG_SEED must be an integer, got {seed_env!r}") from exc
+    if args.config:
+        values.update(_parse_config_file(args.config))
+    values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
+    config = RunConfig(args.command, **values)
     _validate(config)
     return config
 
 
 def _validate(config: RunConfig) -> None:
+    if config.command not in COMMANDS:
+        raise ConfigError(f"unknown command {config.command!r}")
     if not 0.0 < config.rel_tol < 1.0:
         raise ConfigError(f"rel-tol must lie in (0, 1), got {config.rel_tol}")
     if config.seed < 0:
@@ -156,34 +139,27 @@ def _validate(config: RunConfig) -> None:
 
 
 def _resolve_dims(config: RunConfig) -> tuple[int, int]:
-    n1 = config.n1 if config.n1 is not None else config.n2
-    n2 = config.n2 if config.n2 is not None else config.n1
-    if n1 is None:
-        n1 = n2 = 15
-    return n1, n2
+    # a missing size copies the other; a validated size is at least MIN_N_2D, never 0
+    return config.n1 or config.n2 or 15, config.n2 or config.n1 or 15
 
 
 def _partition_from_config(config: RunConfig) -> Partition:
-    if config.nodes:
-        if os.path.exists(config.nodes) and "," not in config.nodes:
-            try:
-                return read_partition(config.nodes)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"bad node file {config.nodes}: {exc}") from exc
+    nodes = config.nodes
+    if nodes and os.path.exists(nodes) and "," not in nodes:
         try:
-            values = [float(v) for v in config.nodes.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad node list {config.nodes!r}") from exc
-        try:
-            return Partition(np.array(values))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if config.n is None:
+            return read_partition(nodes)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad node file {nodes}: {exc}") from exc
+    if not nodes and config.n is None:
         raise ConfigError("diffmat needs --nodes or --a/--b/--n")
+    try:
+        values = [float(v) for v in nodes.split(",")] if nodes else None
+    except ValueError as exc:
+        raise ConfigError(f"bad node list {nodes!r}") from exc
     a = 0.0 if config.a is None else config.a
     b = 1.0 if config.b is None else config.b
     try:
-        return uniform_partition(a, b, config.n)
+        return Partition(np.array(values)) if nodes else uniform_partition(a, b, config.n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -209,8 +185,10 @@ def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command; returns (exit status, output text).
 
     A 2-D solve below ``SINGULAR_RCOND`` still returns its output, with a
-    warning on stderr and status ``SINGULAR_STATUS``.
+    warning on stderr and status ``SINGULAR_STATUS``.  A configuration that
+    :func:`build_config` would refuse raises :class:`ConfigError`.
     """
+    _validate(config)
     if config.command == "diffmat":
         return 0, format_matrix(diff_matrix(_partition_from_config(config))) + "\n"
 
@@ -229,10 +207,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 0, "\n".join(lines) + "\n"
 
     if config.command == "table3":
-        if config.n1 is None and config.n2 is None:
-            cases = [(10, 10), (15, 15)]
-        else:
-            cases = [_resolve_dims(config)]
+        cases = [_resolve_dims(config)] if config.n1 or config.n2 else [(10, 10), (15, 15)]
         lines = [TABLE_HEADER]
         status = 0
         for n1, n2 in cases:
@@ -241,24 +216,18 @@ def run(config: RunConfig) -> tuple[int, str]:
             lines.append(_table_row("lie", f"{n1}x{n2}", report))
         return status, "\n".join(lines) + "\n"
 
-    if config.command == "plot-figure1":
-        report, status = _solve_2d(*_resolve_dims(config))
-        return status, bvp.format_surface(report)
-
-    raise ConfigError(f"unknown command {config.command!r}")
+    # plot-figure1, the one command left
+    report, status = _solve_2d(*_resolve_dims(config))
+    return status, bvp.format_surface(report)
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
         config = build_config(argv)
         status, output = run(config)
-    except ConfigError as exc:
+    except (ConfigError, ValueError, RuntimeError) as exc:
         print(f"liealg: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, RuntimeError) as exc:
-        print(f"liealg: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
     if config.out:
         try:
             with open(config.out, "w") as fh:

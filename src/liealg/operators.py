@@ -107,13 +107,17 @@ def _monomial(ps: list[Partition], exponents) -> np.ndarray:
     from the store on ``ps[0]`` keyed by ``(tuple(ps[1:]), exponents)``.  A power of one
     partition (Z^0 = I) is stored read-only on first use, a product from its second request,
     after a ``None`` marker (a 2-D solve asks once per monomial, so it keeps none).  A
-    failure is never stored, so it repeats."""
+    power or product that is not finite raises ``ValueError`` and is never stored."""
     store, key = ps[0]._monomials, (tuple(ps[1:]), exponents)
     matrix = store.get(key)
     if matrix is not None:
         return matrix
     if len(ps) > 1:
-        matrix = _kron([_monomial([p], (k,)) for p, k in zip(ps, exponents)])
+        factors = [_monomial([p], (k,)) for p, k in zip(ps, exponents)]
+        # the largest entry, exactly (monotone rounding, _kron's order); floats overflow quietly
+        if prod(float(np.abs(f).max()) for f in reversed(factors)) == np.inf:
+            raise ValueError(f"lifted monomial {exponents} overflows float64")
+        matrix = _kron(factors)
         if key not in store:  # the first request on this grid
             store[key] = None
             return matrix

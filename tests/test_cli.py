@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 
 from liealg import bvp
 from liealg.cli import (
+    COMMANDS,
+    SETTINGS,
     SINGULAR_STATUS,
     TABLE_HEADER,
     ConfigError,
@@ -16,6 +20,15 @@ from liealg.cli import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+# each command's flags besides -h/--help, as the command line has always taken them
+FLAGS = {
+    "diffmat": {"--nodes", "--a", "--b", "--n", "--out", "--config"},
+    "rank-audit": {"--rel-tol", "--out", "--config"},
+    "table1": {"--include-zero-endpoint", "--out", "--config"},
+    "table3": {"--n1", "--n2", "--out", "--config"},
+    "plot-figure1": {"--n1", "--n2", "--out", "--config"},
+}
 
 EXPECTED_Z012 = np.array([[-1.5, 2.0, -0.5], [-0.5, 0.0, 0.5], [0.5, -2.0, 1.5]])
 
@@ -333,6 +346,25 @@ class TestConfigFile:
         status, _, err = run_cli(capsys, "diffmat", "--n", "0")
         assert status == 2 and "n must lie in 1..20" in err
 
+    def test_bool_flag_wins_over_file_and_its_absence_does_not(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("include_zero_endpoint=no\n")
+        assert build_config(["table1", "--config", str(cfg), "--include-zero-endpoint"]
+                            ).include_zero_endpoint is True
+        cfg.write_text("include_zero_endpoint=yes\n")
+        assert build_config(["table1", "--config", str(cfg)]).include_zero_endpoint is True
+        assert build_config(["table1"]).include_zero_endpoint is False
+
+    def test_seed_precedence_file_then_env_then_default(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=8\n")
+        monkeypatch.delenv("LIEALG_SEED", raising=False)
+        assert build_config(["rank-audit"]).seed == 42
+        assert build_config(["rank-audit", "--config", str(cfg)]).seed == 8
+        monkeypatch.setenv("LIEALG_SEED", "7")
+        assert build_config(["rank-audit"]).seed == 7
+        assert build_config(["rank-audit", "--config", str(cfg)]).seed == 8
+
     def test_unknown_command_is_config_error(self, capsys):
         # argparse picks the command; a hand-built config with another one fails in run
         with pytest.raises(ConfigError, match="unknown command 'bogus'"):
@@ -341,3 +373,51 @@ class TestConfigFile:
             main(["bogus"])
         assert exit_info.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+class TestRunValidates:
+    """run() refuses what the command line refuses, for a hand-built RunConfig too."""
+
+    @pytest.mark.parametrize("config, message", [
+        (RunConfig("diffmat", n=25), "n must lie in 1..20, got 25"),
+        (RunConfig("diffmat", nodes="0,1", n=0), "n must lie in 1..20, got 0"),
+        (RunConfig("rank-audit", seed=-1), "seed must be non-negative, got -1"),
+        (RunConfig("rank-audit", rel_tol=2.0), "rel-tol must lie in (0, 1), got 2.0"),
+        (RunConfig("table3", n1=3), "n1 must lie in 4..20, got 3"),
+        (RunConfig("plot-figure1", n1=5, n2=21), "n2 must lie in 4..20, got 21"),
+    ])
+    def test_out_of_range_config_raises(self, config, message):
+        with pytest.raises(ConfigError) as info:
+            run(config)
+        assert str(info.value) == message
+
+
+class TestCommandTables:
+    def test_settings_are_the_run_config_fields(self):
+        fields = [f.name for f in dataclasses.fields(RunConfig)]
+        assert fields[0] == "command" and list(SETTINGS) == fields[1:]
+
+    def test_flags_are_the_table_flags(self):
+        assert set(FLAGS) == set(COMMANDS)
+        for command, flags in FLAGS.items():
+            table = {"--" + key.replace("_", "-")
+                     for key, (_, commands, _) in SETTINGS.items() if command in commands}
+            assert table | {"--config"} == flags
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_lists_the_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert set(re.findall(r"^ +(?:-h, )?(--[\w-]+)", out, re.M)) == FLAGS[command] | {"--help"}
+        assert "key=value file; explicit flags win" in out
+        assert "output file (default: stdout)" in out
+
+    def test_top_level_help_lists_the_commands(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        for command, help_text in COMMANDS.items():
+            assert re.search(rf"^ +{command} +{re.escape(help_text)}$", out, re.M)

@@ -328,6 +328,37 @@ class TestLiftedMonomialStore:
                 poly_operator_matrix([(1.0, (2, 2))], ps)
         assert not products(ps[0]) and 2 not in powers(ps[position])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_product_raises_each_call_and_is_not_stored(self):
+        # each Z is finite, with entries of 2e160, but Z x Z overflows float64
+        nodes = np.array([0.0, 1e-160, 2e-160])
+        ps = [Partition(nodes), Partition(nodes)]
+        for _ in range(3):
+            with pytest.raises(ValueError, match=r"lifted monomial \(1, 1\) overflows float64"):
+                poly_operator_matrix([(1.0, (1, 1))], ps)
+        assert not products(ps[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("exponents, root", [((1, 1), 2), ((1, 0, 1), 2), ((1, 1, 1), 3)])
+    def test_overflow_check_is_exact_at_the_boundary(self, exponents, root):
+        # spacings around the one where the product's largest entry reaches the largest float:
+        # the monomial raises exactly when a full entrywise product holds an infinite entry
+        edge = 2.0 / np.finfo(float).max ** (1.0 / root)  # Z[1, 0] = -2/h is its largest
+        outcomes = set()
+        for step in range(-40, 41):
+            h = edge * (1.0 + step * 2.0**-50)
+            ps = [Partition(np.array([0.0, h, 2.0 * h])) for _ in exponents]
+            with np.errstate(over="ignore"):
+                overflows = not np.isfinite(fresh_kron_sum([(1.0, exponents)], ps)).all()
+            if overflows:
+                with pytest.raises(ValueError, match="overflows float64"):
+                    _monomial(ps, exponents)
+            else:
+                np.testing.assert_array_equal(_monomial(ps, exponents),
+                                              fresh_kron_sum([(1.0, exponents)], ps))
+            outcomes.add(overflows)
+        assert outcomes == {True, False}
+
 
 class TestMultMatrix:
     def test_diagonal_of_nodes(self):
