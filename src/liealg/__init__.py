@@ -40,7 +40,6 @@ from .linalg import (
 from .operators import (
     apply_operator_poly,
     diff_matrix,
-    mult_matrix,
 )
 from .partitions import (
     Partition,

@@ -16,7 +16,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .lifting import full_rank_predicate, poly_operator_matrix, space_of
-from .linalg import _as_real, _norm_inf, as_matrix, numerical_rank
+from .linalg import _as_real, _norm_inf, _powers, as_matrix, numerical_rank
 from .operators import _diff_matrices, diff_matrix
 from .partitions import Partition, _check_nodes, _jittered_nodes, uniform_partition
 
@@ -77,8 +77,8 @@ def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
     vanishing (n+1)-th power: reports ``prefix`` + ``rank[n=..]`` and ``nilpotent[n=..]``
     for each case, in case order.
 
-    Rows of equal n are checked as one stack of Z and Z^(n+1): one stacked
-    matrix power and one :func:`_ranks` call per n.
+    Rows of equal n are checked as one stack of Z and Z^(n+1): one
+    :func:`_powers` call and one :func:`_ranks` call per n.
     """
     for nodes, _ in cases:
         if nodes.size - 1 > MAX_LADDER_N:
@@ -90,7 +90,7 @@ def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
     for group, zs in _z_stacks([nodes for nodes, _ in cases]):
         n = zs.shape[-1] - 1
         floors = [NILPOTENCY_TOL * z ** (n + 1) for z in _norm_inf(zs).tolist()]
-        ranks = _ranks(np.concatenate([zs, np.linalg.matrix_power(zs, n + 1)]),
+        ranks = _ranks(np.concatenate([zs, _powers(zs, n + 1)[-1]]),
                        [0.0] * len(group) + floors, rel_tol)
         for row, i in enumerate(group):
             prefix = cases[i][1]
@@ -119,14 +119,10 @@ def audit_rank_ladder(h, rel_tol: float = 1e-8, prefix: str = "rank_ladder") -> 
         raise ValueError(f"rank ladder needs a square matrix, got shape {h.shape}")
     n = h.shape[0] - 1
     # H^0 .. H^(n+1), then H^(n+1) once more for the nilpotency hypothesis
-    powers = np.empty((n + 3, n + 1, n + 1))
-    powers[0] = np.eye(n + 1)
-    for k in range(1, n + 2):
-        powers[k] = powers[k - 1] @ h
-    powers[n + 2] = powers[n + 1]
+    powers = _powers(h, n + 1)
     scale = _norm_inf(h)
-    ranks = _ranks(powers, [rel_tol * scale ** k for k in range(n + 2)]
-                   + [NILPOTENCY_TOL * scale ** (n + 1)], rel_tol)
+    floors = [rel_tol * scale ** k for k in range(n + 2)] + [NILPOTENCY_TOL * scale ** (n + 1)]
+    ranks = _ranks(np.concatenate([powers, powers[-1:]]), floors, rel_tol)
     if ranks[1] != n:
         raise ValueError(f"hypothesis failed: numerical rank of H is not {n}")
     if ranks[n + 2] != 0:
@@ -154,31 +150,23 @@ def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[tuple[int, int]]:
     """``(rank B^k, rank(a_k B^k + ... + a_m B^m))`` of each B of a ``(G, dim, dim)`` stack,
     given its ``(coeffs, k)``, from one :func:`_ranks` call that also checks each B^dim == 0.
 
-    Each matrix has the same bits as the 2-D power chain of its case alone: a stacked
-    matrix power repeats the 2-D products slice by slice, and the zero padding of the
-    shorter coefficient rows only adds +0.0 to sums that never hold -0.0.
+    Every power comes from one :func:`_powers` chain, so each matrix has the same bits as
+    the 2-D chain of its case alone; the zero padding of the shorter coefficient rows
+    only adds +0.0 to sums that never hold -0.0.
     """
     count, dim = len(cases), bs.shape[-1]
-    by_k: dict[int, list[int]] = {}
-    for i, (_, k) in enumerate(cases):
-        by_k.setdefault(k, []).append(i)
-    bases = np.empty_like(bs)
-    for k, group in by_k.items():
-        bases[group] = np.linalg.matrix_power(bs[group], k)
     coeffs = np.zeros((count, max(c.size for c, _ in cases)))
     for row, (c, _) in zip(coeffs, cases):
         row[:c.size] = c
+    ks, rows = np.array([k for _, k in cases]), np.arange(count)
+    powers = _powers(bs, max(dim, int(ks.max()) + coeffs.shape[1] - 1))
     poly = np.zeros_like(bs)
-    power = bases
     for j, column in enumerate(coeffs.T):
-        if j:
-            power = power @ bs
-        poly += column[:, None, None] * power
+        poly += column[:, None, None] * powers[ks + j, rows]
     scales = _norm_inf(bs).tolist()
     floors = ([NILPOTENCY_TOL * scale ** dim for scale in scales]
               + [rel_tol * scale ** k for scale, (_, k) in zip(scales, cases)] + [0.0] * count)
-    ranks = _ranks(np.concatenate([np.linalg.matrix_power(bs, dim), bases, poly]),
-                   floors, rel_tol)
+    ranks = _ranks(np.concatenate([powers[dim], powers[ks, rows], poly]), floors, rel_tol)
     if any(ranks[:count]):
         raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
     return list(zip(ranks[count:2 * count], ranks[2 * count:]))

@@ -46,6 +46,8 @@ __all__ = [
     "format_surface",
 ]
 
+TWO_POINT_LEFT = 0.001  # left end of the 1-D problem, off 0 as in the reference results
+
 
 @dataclass(frozen=True)
 class BvpReport:
@@ -95,7 +97,7 @@ def solve_two_point(n: int, include_zero_endpoint: bool = False) -> BvpReport:
     """
     if not 2 <= n <= 20:
         raise ValueError(f"n must lie in 2..20, got {n}")
-    a = 0.0 if include_zero_endpoint else 0.001
+    a = 0.0 if include_zero_endpoint else TWO_POINT_LEFT
     part = uniform_partition(a, math.pi / 2.0, n)
     x = part.nodes
     p, q, r, s = two_point_coefficients(x)

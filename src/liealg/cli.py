@@ -18,6 +18,7 @@ from .partitions import Partition, read_partition, uniform_partition
 MAX_N = 20
 # the 2-D experiment needs at least 4 subintervals per dimension
 MIN_N_2D = 4
+DEFAULT_N_2D = 15
 TABLE_HEADER = "method,n,E,Emax,Eavg,rcond"
 # a 2-D solve whose rcond is below machine epsilon is reported, and the
 # command exits with this status, since its errors are rounding noise
@@ -33,8 +34,8 @@ class ConfigError(Exception):
 class RunConfig:
     command: str
     nodes: str | None = None
-    a: float | None = None
-    b: float | None = None
+    a: float = 0.0
+    b: float = 1.0
     n: int | None = None
     n1: int | None = None
     n2: int | None = None
@@ -51,18 +52,22 @@ COMMANDS = {
     "table3": "2-D experiment errors (CSV)",
     "plot-figure1": "2-D solution surface as gridded x y u data",
 }
+_GRID_SIZE = (f"{MIN_N_2D}..{MAX_N}; a missing size copies the other (default: {DEFAULT_N_2D}; "
+              "table3 without either runs its two reference grids)")
 # every RunConfig field but the command: (value type, the commands that take it
 # as a flag, flag help); a --config file may set any of them
 SETTINGS = {
     "nodes": (str, ("diffmat",), "comma-separated node list, or a file with one node per line"),
-    "a": (float, ("diffmat",), None),
-    "b": (float, ("diffmat",), None),
-    "n": (int, ("diffmat",), None),
-    "n1": (int, ("table3", "plot-figure1"), None),
-    "n2": (int, ("table3", "plot-figure1"), None),
+    "a": (float, ("diffmat",), f"left end for --n, finite, below --b (default: {RunConfig.a:g})"),
+    "b": (float, ("diffmat",), f"right end for --n, finite, above --a (default: {RunConfig.b:g})"),
+    "n": (int, ("diffmat",), f"subintervals of a uniform partition, 1..{MAX_N}"),
+    "n1": (int, ("table3", "plot-figure1"), f"subintervals in x, {_GRID_SIZE}"),
+    "n2": (int, ("table3", "plot-figure1"), f"subintervals in y, {_GRID_SIZE}"),
     "out": (str, tuple(COMMANDS), "output file (default: stdout)"),
-    "rel_tol": (float, ("rank-audit",), None),
-    "include_zero_endpoint": (bool, ("table1",), None),
+    "rel_tol": (float, ("rank-audit",),
+                f"relative rank threshold in (0, 1) (default: {RunConfig.rel_tol:g})"),
+    "include_zero_endpoint": (bool, ("table1",),
+                              f"solve on [0, pi/2], not [{bvp.TWO_POINT_LEFT:g}, pi/2]"),
     "seed": (int, (), None),
 }
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
@@ -140,7 +145,7 @@ def _validate(config: RunConfig) -> None:
 
 def _resolve_dims(config: RunConfig) -> tuple[int, int]:
     # a missing size copies the other; a validated size is at least MIN_N_2D, never 0
-    return config.n1 or config.n2 or 15, config.n2 or config.n1 or 15
+    return config.n1 or config.n2 or DEFAULT_N_2D, config.n2 or config.n1 or DEFAULT_N_2D
 
 
 def _partition_from_config(config: RunConfig) -> Partition:
@@ -156,10 +161,9 @@ def _partition_from_config(config: RunConfig) -> Partition:
         values = [float(v) for v in nodes.split(",")] if nodes else None
     except ValueError as exc:
         raise ConfigError(f"bad node list {nodes!r}") from exc
-    a = 0.0 if config.a is None else config.a
-    b = 1.0 if config.b is None else config.b
     try:
-        return Partition(np.array(values)) if nodes else uniform_partition(a, b, config.n)
+        return (Partition(np.array(values)) if nodes
+                else uniform_partition(config.a, config.b, config.n))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -1,4 +1,4 @@
-"""Dense real matrix arithmetic: the Kronecker kernel, pivoted LU, numerical rank."""
+"""Dense real matrix arithmetic: the Kronecker and power kernels, pivoted LU, numerical rank."""
 
 from __future__ import annotations
 
@@ -65,6 +65,18 @@ def _kron(factors) -> np.ndarray:
         f = factors[i]
         shape = (out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
         out = (out[:, None, :, None] * f[None, :, None, :]).reshape(shape)
+    return out
+
+
+def _powers(m: np.ndarray, top: int) -> np.ndarray:
+    """M^0 .. M^top of a matrix or a ``(..., m, m)`` stack, as ``(top + 1, ...)``: M^0 = I,
+    M^1 = M bit for bit, M^k = M^(k-1) @ M.  A stacked matmul repeats the 2-D products slice
+    by slice, so each matrix of a stack gets the bits of its own 2-D chain."""
+    out = np.empty((top + 1, *m.shape))
+    out[0] = np.eye(m.shape[-1])
+    out[1:2] = m  # empty when top = 0
+    for k in range(2, top + 1):
+        np.matmul(out[k - 1], m, out=out[k])
     return out
 
 

@@ -7,12 +7,11 @@ from operator import index
 
 import numpy as np
 
-from .linalg import _as_real, _kron, as_matrix
+from .linalg import _as_real, _kron, _powers, as_matrix
 from .partitions import Partition, _pi_weights
 
 __all__ = [
     "diff_matrix",
-    "mult_matrix",
     "apply_operator_poly",
 ]
 
@@ -53,11 +52,6 @@ def _diff_matrices(nodes: np.ndarray) -> np.ndarray:
         raise ValueError(f"differentiation matrix of {m} nodes is not finite: "
                          "the pi-weights overflow or underflow float64")
     return z
-
-
-def mult_matrix(p: Partition) -> np.ndarray:
-    """Diagonal matrix of the partition nodes (multiplication by the coordinate)."""
-    return np.diag(p.nodes)
 
 
 def _scale_rows(coeff, m: np.ndarray) -> np.ndarray:
@@ -125,8 +119,8 @@ def _monomial(ps: list[Partition], exponents) -> np.ndarray:
         matrix = np.eye(ps[0].n + 1)
     elif exponents == (1,):
         matrix = _diff_matrices(ps[0].nodes[None])[0]
-    else:  # as_matrix rejects an overflowing power
-        matrix = as_matrix(np.linalg.matrix_power(_monomial(ps, (1,)), exponents[0]))
+    else:  # its own array, not a view holding the lower powers; as_matrix rejects overflow
+        matrix = as_matrix(_powers(_monomial(ps, (1,)), exponents[0])[-1].copy())
     matrix.flags.writeable = False
     store[key] = matrix
     return matrix

@@ -87,14 +87,14 @@ def reference_poly_ranks(cases, rel_tol):
     matrices, floors = [], []
     for b, coeffs, k in cases:
         dim = b.shape[0]
-        base = np.linalg.matrix_power(b, k)
+        chain = [np.eye(dim), b]  # B^j = B^(j-1) @ B, from B itself
+        while len(chain) <= max(dim, k + len(coeffs) - 1):
+            chain.append(chain[-1] @ b)
         poly = np.zeros_like(b)
-        power = base
-        for c in coeffs:
-            poly += c * power
-            power = power @ b
+        for j, c in enumerate(coeffs):
+            poly += c * chain[k + j]
         scale = _norm_inf(b)
-        matrices += [np.linalg.matrix_power(b, dim), base, poly]
+        matrices += [chain[dim], chain[k], poly]
         floors += [NILPOTENCY_TOL * scale ** dim, rel_tol * scale ** k, 0.0]
     ranks = audits._ranks(np.stack(matrices), floors, rel_tol)
     if any(ranks[::3]):

@@ -414,6 +414,15 @@ class TestCommandTables:
         assert "key=value file; explicit flags win" in out
         assert "output file (default: stdout)" in out
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_prints_each_flag_help_text(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+        for key, (_, commands, flag_help) in SETTINGS.items():
+            if command in commands:
+                assert flag_help and flag_help in out, key
+
     def test_top_level_help_lists_the_commands(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])

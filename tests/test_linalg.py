@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liealg.bvp import _hyperbolic_system, two_point_coefficients
+from liealg.audits import default_suite
+from liealg.bvp import _hyperbolic_system, solve_hyperbolic, two_point_coefficients
 from liealg.linalg import (
     SingularSystemError,
     _format_rows,
     _kron,
     _lu_apply,
     _norm_inf,
+    _powers,
     as_matrix,
     as_vector,
     format_matrix,
@@ -98,6 +100,48 @@ class TestKron:
         right = kron(a @ c, b @ d)
         scale = max(np.abs(right).max(), 1.0)
         np.testing.assert_allclose(left, right, atol=1e-12 * scale)
+
+
+def chain(m, top):
+    """M^0 .. M^top of one matrix by the 2-D chain from M itself: M^k = M^(k-1) @ M."""
+    out = [np.eye(len(m)), m]
+    while len(out) <= top:
+        out.append(out[-1] @ m)
+    return out[:top + 1]
+
+
+class TestPowers:
+    def test_each_slice_is_the_2d_chain_of_its_matrix(self):
+        rng = np.random.default_rng(31)
+        for shape in ((1, 1), (4, 4), (3, 1, 1), (4, 2, 2), (5, 6, 6), (2, 3, 5, 5)):
+            stack = rng.standard_normal(shape)
+            stack[rng.random(shape) < 0.3] = 0.0
+            stack[rng.random(shape) < 0.2] = -0.0
+            got = _powers(stack, 7)
+            assert got.shape == (8, *shape)
+            matrices = stack.reshape(-1, *shape[-2:])
+            for i, m in enumerate(matrices):
+                for k, expected in enumerate(chain(m, 7)):
+                    assert got[k].reshape(matrices.shape)[i].tobytes() == expected.tobytes()
+
+    def test_top_zero_is_identity_and_top_one_is_the_matrix(self):
+        m = np.array([[-0.0, 2.0, 0.0], [1.5, -0.0, -3.0], [0.0, -0.0, 0.25]])
+        assert _powers(m, 0).tobytes() == np.eye(3)[None].tobytes()
+        low = _powers(m, 1)
+        assert low[0].tobytes() == np.eye(3).tobytes()
+        assert low[1].tobytes() == m.tobytes()
+        stack = np.stack([m, -m])
+        assert _powers(stack, 0).tobytes() == np.stack([np.eye(3)] * 2)[None].tobytes()
+        assert _powers(stack, 1)[1].tobytes() == stack.tobytes()
+
+    def test_every_power_goes_through_the_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.matrix_power called")
+
+        monkeypatch.setattr(np.linalg, "matrix_power", refuse)
+        assert all(report.passed for report in default_suite(42))
+        assert apply_operator_poly([(1.0, 5)], Partition(np.arange(7.0))).shape == (7, 7)
+        assert solve_hyperbolic(10, 10).error_max < 1e-2
 
 
 def reference_lu_factor(a):

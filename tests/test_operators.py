@@ -16,7 +16,6 @@ from liealg.operators import (
     _monomial,
     apply_operator_poly,
     diff_matrix,
-    mult_matrix,
 )
 from liealg.partitions import Partition, jittered_partition, uniform_partition
 
@@ -194,11 +193,16 @@ class TestDiffPowerPerPartition:
         p = jittered_partition(np.random.default_rng(16), 6)
         z = diff_matrix(p)
         assert power(p, 1) is z and p._monomials[((), (1,))] is z
+        chain = [np.eye(7), z]  # the 2-D chain from Z: Z^k = Z^(k-1) @ Z
+        while len(chain) < 9:
+            chain.append(chain[-1] @ z)
         for k in range(9):
             kth = power(p, k)
             assert power(p, k) is kth
             assert not kth.flags.writeable
-            np.testing.assert_array_equal(kth, np.linalg.matrix_power(z, k))
+            if k >= 2:  # its own array, not a view holding the lower powers
+                assert kth.base is None
+            np.testing.assert_array_equal(kth, chain[k])
         np.testing.assert_array_equal(power(p, 0), np.eye(7))
 
     def test_assemblers_store_and_reuse_powers(self):
@@ -360,17 +364,6 @@ class TestLiftedMonomialStore:
         assert outcomes == {True, False}
 
 
-class TestMultMatrix:
-    def test_diagonal_of_nodes(self):
-        np.testing.assert_array_equal(mult_matrix(P012), np.diag([0.0, 1.0, 2.0]))
-        np.testing.assert_array_equal(
-            mult_matrix(Partition(np.array([-1.0, 1.0]))), np.diag([-1.0, 1.0]))
-
-    def test_acts_on_ones_as_nodes(self):
-        p = Partition(np.array([0.3, 1.7, 2.2]))
-        np.testing.assert_array_equal(mult_matrix(p) @ np.ones(3), p.nodes)
-
-
 class TestOperatorPoly:
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -391,7 +384,7 @@ class TestOperatorPoly:
 
     def test_coordinate_coefficient_reduces_to_mult_matrix(self):
         np.testing.assert_array_equal(apply_operator_poly([(P012.nodes, 0)], P012),
-                                      mult_matrix(P012))
+                                      np.diag(P012.nodes))
 
     def test_matches_diagonal_times_power_reference(self):
         rng = np.random.default_rng(13)
