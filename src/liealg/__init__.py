@@ -37,10 +37,7 @@ from .linalg import (
     lu_solve,
     numerical_rank,
 )
-from .operators import (
-    apply_operator_poly,
-    diff_matrix,
-)
+from .operators import diff_matrix
 from .partitions import (
     Partition,
     jittered_partition,

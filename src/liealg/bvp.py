@@ -32,7 +32,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .lifting import _grid_coordinates, grid_eval, poly_operator_matrix
 from .linalg import _as_real, _format_rows, lu_solve
-from .operators import _monomial, apply_operator_poly
+from .operators import _monomial, _poly_matrix
 from .partitions import Partition, uniform_partition
 
 __all__ = [
@@ -47,14 +47,17 @@ __all__ = [
 ]
 
 TWO_POINT_LEFT = 0.001  # left end of the 1-D problem, off 0 as in the reference results
+# subintervals per dimension: at most MAX_N for either experiment (and for the
+# command line's uniform partitions), at least MIN_N_2D for the 2-D experiment
+MAX_N = 20
+MIN_N_2D = 4
 
 
 @dataclass(frozen=True)
 class BvpReport:
-    """Solution vectors and error metrics of one experiment run on its partitions."""
+    """Nodal solution values and error metrics of one experiment run on its partitions."""
 
     partitions: tuple[Partition, ...]
-    v_sigma: np.ndarray
     u_sigma: np.ndarray
     error_sum: float
     error_max: float
@@ -95,16 +98,16 @@ def solve_two_point(n: int, include_zero_endpoint: bool = False) -> BvpReport:
     the reference results); pass ``include_zero_endpoint=True`` to use
     [0, pi/2] instead.  Both run fine; the flag only exists for comparison.
     """
-    if not 2 <= n <= 20:
-        raise ValueError(f"n must lie in 2..20, got {n}")
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"n must lie in 2..{MAX_N}, got {n}")
     a = 0.0 if include_zero_endpoint else TWO_POINT_LEFT
     part = uniform_partition(a, math.pi / 2.0, n)
     x = part.nodes
     p, q, r, s = two_point_coefficients(x)
-    v, rcond = lu_solve(apply_operator_poly([(r, 0), (q, 1), (p, 2)], part), s)
+    v, rcond = lu_solve(_poly_matrix([(r, (0,)), (q, (1,)), (p, (2,))], [part]), s)
     u = (2.0 - 2.0 * x / math.pi) * (x * (x - math.pi / 2.0) * v + 1.0)
     e_sum, e_max, e_avg = error_metrics(u, _exact_two_point(x))
-    return BvpReport((part,), v, u, e_sum, e_max, e_avg, rcond)
+    return BvpReport((part,), u, e_sum, e_max, e_avg, rcond)
 
 
 def shooting_two_point(n: int) -> BvpReport:
@@ -133,7 +136,7 @@ def shooting_two_point(n: int) -> BvpReport:
         raise RuntimeError(f"degenerate shooting denominator: v(pi/2) = {v[n]:.3e}")
     u = w + (1.0 - w[n]) / v[n] * v
     e_sum, e_max, e_avg = error_metrics(u, _exact_two_point(x))
-    return BvpReport((part,), v, u, e_sum, e_max, e_avg, math.nan)
+    return BvpReport((part,), u, e_sum, e_max, e_avg, math.nan)
 
 
 def hyperbolic_rhs(x, y):
@@ -178,8 +181,8 @@ def solve_hyperbolic(n1: int, n2: int) -> BvpReport:
     the solve reports its condition estimate and fails loudly only on exact
     pivot breakdown.
     """
-    if not (4 <= n1 <= 20 and 4 <= n2 <= 20):
-        raise ValueError(f"n1, n2 must lie in 4..20, got ({n1}, {n2})")
+    if not (MIN_N_2D <= n1 <= MAX_N and MIN_N_2D <= n2 <= MAX_N):
+        raise ValueError(f"n1, n2 must lie in {MIN_N_2D}..{MAX_N}, got ({n1}, {n2})")
     ps = [uniform_partition(-1.0, 1.0, n1), uniform_partition(-1.0, 1.0, n2)]
     k, mask = _hyperbolic_system(ps)
     rhs = grid_eval(hyperbolic_rhs, ps)
@@ -187,7 +190,7 @@ def solve_hyperbolic(n1: int, n2: int) -> BvpReport:
     u = mask * v
     exact = grid_eval(_exact_hyperbolic, ps)
     e_sum, e_max, e_avg = error_metrics(u, exact)
-    return BvpReport(tuple(ps), v, u, e_sum, e_max, e_avg, rcond)
+    return BvpReport(tuple(ps), u, e_sum, e_max, e_avg, rcond)
 
 
 def format_surface(report: BvpReport) -> str:

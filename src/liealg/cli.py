@@ -11,13 +11,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import audits, bvp
+from .bvp import MAX_N, MIN_N_2D
 from .linalg import format_matrix
 from .operators import diff_matrix
 from .partitions import Partition, read_partition, uniform_partition
 
-MAX_N = 20
-# the 2-D experiment needs at least 4 subintervals per dimension
-MIN_N_2D = 4
 DEFAULT_N_2D = 15
 TABLE_HEADER = "method,n,E,Emax,Eavg,rcond"
 # a 2-D solve whose rcond is below machine epsilon is reported, and the

@@ -8,18 +8,17 @@ from operator import index
 import numpy as np
 
 from .linalg import _as_real, _kron, _powers, as_matrix
-from .partitions import Partition, _pi_weights
+from .partitions import Partition
 
 __all__ = [
     "diff_matrix",
-    "apply_operator_poly",
 ]
 
 
 def diff_matrix(p: Partition) -> np.ndarray:
     """Differentiation matrix of the partition: entry (j, k) is dl_k/dx(x_j).
 
-    Assembled from the closed form
+    Assembled from the closed form, with pi-weights pi_j = prod_{m != j} (x_j - x_m),
 
         Z[j, j] = sum_{m != j} 1 / (x_j - x_m),
         Z[j, k] = (pi_j / pi_k) / (x_j - x_k)   for k != j,
@@ -39,15 +38,18 @@ def diff_matrix(p: Partition) -> np.ndarray:
 
 def _diff_matrices(nodes: np.ndarray) -> np.ndarray:
     """The :func:`diff_matrix` of each row of a ``(B, m)`` node stack, as ``(B, m, m)``: the
-    one formula for Z.  A row's matrix is the same, bit for bit, whatever rows share its
-    stack.  The rows must pass the checks of :class:`Partition`."""
+    one formula for Z and its pi-weights.  A row's matrix is the same, bit for bit, whatever
+    rows share its stack.  The rows must pass the checks of :class:`Partition`."""
     m = nodes.shape[-1]
     with np.errstate(all="ignore"):
-        pi = _pi_weights(nodes)
         diff = nodes[:, :, None] - nodes[:, None, :]
-        diff.reshape(-1, m * m)[:, ::m + 1] = np.inf  # the diagonal of each matrix
+        # 1 on the diagonal: the factor pi_j omits, and a divisor for Z's placeholder diagonal
+        diff.reshape(-1, m * m)[:, ::m + 1] = 1.0
+        pi = diff.prod(axis=-1)
         z = (pi[:, :, None] / pi[:, None, :]) / diff
-        z.reshape(-1, m * m)[:, ::m + 1] = (1.0 / diff).sum(axis=-1)
+        inverse = np.divide(1.0, diff, out=diff)
+        inverse.reshape(-1, m * m)[:, ::m + 1] = 0.0
+        z.reshape(-1, m * m)[:, ::m + 1] = inverse.sum(axis=-1)
     if not np.all(np.isfinite(z)):
         raise ValueError(f"differentiation matrix of {m} nodes is not finite: "
                          "the pi-weights overflow or underflow float64")
@@ -124,14 +126,3 @@ def _monomial(ps: list[Partition], exponents) -> np.ndarray:
     matrix.flags.writeable = False
     store[key] = matrix
     return matrix
-
-
-def apply_operator_poly(terms, p: Partition) -> np.ndarray:
-    """Collocation matrix sum_k diag(c_k) @ Z^k (with Z^0 = I).
-
-    ``terms`` is a list of ``(c_k, k)`` pairs, ``c_k`` a scalar or the nodal
-    values of the coefficient of the k-th derivative; terms are summed in the
-    given order.  No invertibility is implied: non-constant coefficients can
-    destroy full rank, so callers should watch the solver's condition estimate.
-    """
-    return _poly_matrix([(coeff, (order,)) for coeff, order in terms], [p])

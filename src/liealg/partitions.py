@@ -1,16 +1,11 @@
-"""Partitions of an interval and their pi-weights.
+"""Partitions of an interval: strictly increasing node sets x_0 < x_1 < ... < x_n.
 
-A partition is a strictly increasing node set x_0 < x_1 < ... < x_n.  Node k
-carries the pi-weight
-
-    pi_k = prod_{m != k} (x_k - x_m),
-
-the denominator of its Lagrange basis polynomial; the differentiation matrix
-of :mod:`liealg.operators` is built from these weights.
+The differentiation matrix of :mod:`liealg.operators` is built from their nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import index
 
@@ -54,7 +49,7 @@ def _check_nodes(nodes: np.ndarray, ndim: int = 1) -> None:
         raise ValueError("a partition needs at least two nodes")
     if not np.all(np.isfinite(nodes)):
         raise ValueError("partition nodes must be finite")
-    if not np.all(np.diff(nodes) > 0):
+    if not np.all(nodes[..., 1:] > nodes[..., :-1]):  # no subtraction to overflow
         raise ValueError("partition nodes must be strictly increasing")
 
 
@@ -64,6 +59,7 @@ def uniform_partition(a: float, b: float, n: int) -> Partition:
         raise ValueError(f"need finite a < b, got a={a}, b={b}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    _span(a, b)
     return Partition(np.linspace(a, b, n + 1))
 
 
@@ -83,25 +79,25 @@ def jittered_partition(rng: np.random.Generator, n: int, a: float = 0.0,
 def _jittered_nodes(rng: np.random.Generator, n: int, a: float = 0.0, b: float = 1.0,
                     max_shift: float = 0.3) -> np.ndarray:
     """The nodes of :func:`jittered_partition`, from the same draws, unchecked; a bad
-    ``n`` or ``max_shift`` raises before any draw."""
+    ``n``, ``max_shift`` or span raises before any draw."""
     n = index(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 0.0 <= max_shift < 0.5:
         raise ValueError("max_shift must lie in [0, 0.5)")
-    h = (b - a) / n
+    h = _span(a, b) / n
     nodes = a + h * np.arange(n + 1, dtype=float)
     nodes[1:-1] += h * rng.uniform(-max_shift, max_shift, size=n - 1)
     nodes[-1] = b
     return nodes
 
 
-def _pi_weights(nodes: np.ndarray) -> np.ndarray:
-    """pi-weights of each row of a ``(..., m)`` node array: the one pi formula."""
-    m = nodes.shape[-1]
-    diff = nodes[..., :, None] - nodes[..., None, :]
-    diff.reshape(-1, m * m)[:, ::m + 1] = 1.0  # the diagonal of each matrix
-    return diff.prod(axis=-1)
+def _span(a: float, b: float) -> float:
+    """b - a, or a ``ValueError`` naming the span when it is not finite in float64."""
+    span = float(b) - float(a)  # Python floats: an overflow gives inf, with no warning
+    if not math.isfinite(span):
+        raise ValueError(f"span b - a of [{a}, {b}] is not finite in float64")
+    return span
 
 
 def read_partition(path) -> Partition:

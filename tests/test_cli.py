@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liealg import bvp
+from liealg import bvp, cli
 from liealg.cli import (
     COMMANDS,
     SETTINGS,
@@ -18,6 +18,7 @@ from liealg.cli import (
     main,
     run,
 )
+from liealg.partitions import _jittered_nodes
 
 DATA = Path(__file__).parent / "data"
 
@@ -98,6 +99,26 @@ class TestDiffmat:
         status, text = run(RunConfig("diffmat", n=20))
         assert status == 0
         assert text.encode() == (DATA / "diffmat_n20.txt").read_bytes()
+
+    def test_jittered_output_matches_golden_file(self):
+        # Z on unequal spacings: 13 jittered nodes given as a repr-formatted comma list
+        nodes = ",".join(map(repr, _jittered_nodes(np.random.default_rng(12), 12).tolist()))
+        status, text = run(RunConfig("diffmat", nodes=nodes))
+        assert status == 0
+        assert text.encode() == (DATA / "diffmat_jittered12.txt").read_bytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_span_is_config_error(self, capsys):
+        status, out, err = run_cli(capsys, "diffmat", "--a=-1e308", "--b=1e308", "--n", "2")
+        assert status == 2 and out == ""
+        assert err == "liealg: span b - a of [-1e+308, 1e+308] is not finite in float64\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_node_differences_are_an_error(self, capsys):
+        status, out, err = run_cli(capsys, "diffmat", "--nodes=-1e308,1e308")
+        assert status == 1 and out == ""
+        assert err.startswith("liealg: differentiation matrix of 2 nodes is not finite")
+        assert err.count("\n") == 1
 
     def test_missing_partition_is_config_error(self, capsys):
         status, out, err = run_cli(capsys, "diffmat")
@@ -390,6 +411,23 @@ class TestRunValidates:
         with pytest.raises(ConfigError) as info:
             run(config)
         assert str(info.value) == message
+
+
+class TestSizeBounds:
+    def test_both_layers_reject_one_past_each_bound(self):
+        # the bounds are read from bvp, the one place that declares them
+        assert (cli.MAX_N, cli.MIN_N_2D) == (bvp.MAX_N, bvp.MIN_N_2D)
+        high, low = bvp.MAX_N + 1, bvp.MIN_N_2D - 1
+        assert bvp.solve_two_point(bvp.MAX_N).error_max < 1e-6
+        with pytest.raises(ValueError, match=f"n must lie in 2..{bvp.MAX_N}, got {high}"):
+            bvp.solve_two_point(high)
+        for n1, n2 in ((low, bvp.MIN_N_2D), (bvp.MIN_N_2D, high)):
+            with pytest.raises(ValueError, match=f"must lie in {bvp.MIN_N_2D}..{bvp.MAX_N}"):
+                bvp.solve_hyperbolic(n1, n2)
+        for argv in (["diffmat", "--n", str(high)], ["table3", "--n1", str(low)],
+                     ["plot-figure1", "--n2", str(high)]):
+            with pytest.raises(ConfigError, match="must lie in"):
+                build_config(argv)
 
 
 class TestCommandTables:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from liealg.audits import default_suite
 from liealg.bvp import _hyperbolic_system, solve_hyperbolic, two_point_coefficients
+from liealg.lifting import poly_operator_matrix
 from liealg.linalg import (
     SingularSystemError,
     _format_rows,
@@ -21,7 +22,7 @@ from liealg.linalg import (
     lu_solve,
     numerical_rank,
 )
-from liealg.operators import apply_operator_poly, diff_matrix
+from liealg.operators import diff_matrix
 from liealg.partitions import Partition, uniform_partition
 
 
@@ -140,7 +141,7 @@ class TestPowers:
 
         monkeypatch.setattr(np.linalg, "matrix_power", refuse)
         assert all(report.passed for report in default_suite(42))
-        assert apply_operator_poly([(1.0, 5)], Partition(np.arange(7.0))).shape == (7, 7)
+        assert poly_operator_matrix([(1.0, (5,))], [Partition(np.arange(7.0))]).shape == (7, 7)
         assert solve_hyperbolic(10, 10).error_max < 1e-2
 
 
@@ -165,7 +166,7 @@ def two_point_system(n):
     """The collocation matrix and right-hand side of the ``table1`` 1-D solve."""
     part = uniform_partition(0.001, math.pi / 2.0, n)
     p, q, r, s = two_point_coefficients(part.nodes)
-    return apply_operator_poly([(r, 0), (q, 1), (p, 2)], part), s
+    return poly_operator_matrix([(r, (0,)), (q, (1,)), (p, (2,))], [part]), s
 
 
 # elimination of this matrix overflows: its factors hold +inf, -inf, NaN and -0.0

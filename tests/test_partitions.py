@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liealg.operators import _diff_matrices
 from liealg.partitions import (
     Partition,
     _check_nodes,
     _jittered_nodes,
-    _pi_weights,
     jittered_partition,
     read_partition,
     uniform_partition,
@@ -90,6 +90,31 @@ class TestUniformPartition:
             uniform_partition(a, b, 3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOverflowingSpan:
+    """Finite endpoints whose difference overflows float64: the constructors name the
+    span instead of leaking NumPy's overflow warnings, and a node check never subtracts."""
+
+    def test_uniform_partition_names_the_span(self):
+        with pytest.raises(ValueError, match=r"span b - a of \[-1e\+308, 1e\+308\]"):
+            uniform_partition(-1e308, 1e308, 2)
+
+    def test_jittered_partition_names_the_span_before_any_draw(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        for make in (jittered_partition, _jittered_nodes):
+            with pytest.raises(ValueError, match="span b - a"):
+                make(rng, 3, a=-1e308, b=1e308)
+        assert rng.bit_generator.state == state
+
+    def test_partition_checks_order_without_subtracting(self):
+        np.testing.assert_array_equal(Partition([-1e308, 1e308]).nodes, [-1e308, 1e308])
+        with pytest.raises(ValueError, match="increasing"):
+            Partition([1e308, -1e308])
+        with pytest.raises(ValueError, match="increasing"):
+            _check_nodes(np.array([[-1e308, 1e308], [1e308, -1e308]]), ndim=2)
+
+
 @given(n=st.integers(2, 12), seed=st.integers(0, 1000))
 @settings(max_examples=40, deadline=None)
 def test_jittered_partition_is_valid(n, seed):
@@ -148,14 +173,20 @@ def test_jittered_rejects_bad_input_before_any_draw(n, max_shift, error, match):
     assert rng.bit_generator.state == state
 
 
+Z_012 = [[-1.5, 2.0, -0.5], [-0.5, 0.0, 0.5], [0.5, -2.0, 1.5]]
+
+
 class TestPiWeights:
+    """The pi-weights of a partition, read through the exact entries of the Z built
+    from them: pi = (-1, 1) for [0, 1] and (2, -1, 2) for [0, 1, 2] and [-1, 0, 1]."""
+
     @pytest.mark.parametrize("nodes,expected", [
-        ([0.0, 1.0], [-1.0, 1.0]),
-        ([0.0, 1.0, 2.0], [2.0, -1.0, 2.0]),
-        ([-1.0, 0.0, 1.0], [2.0, -1.0, 2.0]),
+        ([0.0, 1.0], [[-1.0, 1.0], [-1.0, 1.0]]),
+        ([0.0, 1.0, 2.0], Z_012),
+        ([-1.0, 0.0, 1.0], Z_012),
     ])
     def test_direct_products(self, nodes, expected):
-        np.testing.assert_array_equal(_pi_weights(np.array(nodes)), expected)
+        np.testing.assert_array_equal(_diff_matrices(np.array([nodes]))[0], expected)
 
 
 def test_partition_file_round_trip(tmp_path):
