@@ -288,6 +288,19 @@ class TestPlotFigure1:
         assert text.encode() == (DATA / "plot_figure1_6x9.dat").read_bytes()
 
 
+@pytest.mark.parametrize("config, golden", [
+    (RunConfig("table1"), "table1.csv"),
+    (RunConfig("table3"), "table3.csv"),
+    (RunConfig("plot-figure1", n1=15, n2=15), "plot_figure1_15x15.dat"),
+])
+def test_solve_bytes_do_not_depend_on_caller_buffer_size(caller_bufsize, config, golden):
+    # the LU runs under its own buffer size; the norms and error metrics run under the caller's
+    status, text = run(config)
+    assert status == 0
+    assert text.encode() == (DATA / golden).read_bytes()
+    assert np.getbufsize() == caller_bufsize
+
+
 class TestConfigFile:
     def test_unknown_key_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -176,6 +176,17 @@ OVERFLOWING = np.array([[3.0, 3.0, 1.0, 0.0],
                         [-1e308, 0.0, -1.0, -1e308]])
 
 
+def signed_zero_matrices():
+    """40 seeded random matrices, about 30% of their entries -0.0 and 20% +0.0."""
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        size = int(rng.integers(2, 12))
+        a = rng.standard_normal((size, size))
+        a[rng.random(a.shape) < 0.3] = -0.0
+        a[rng.random(a.shape) < 0.2] = 0.0
+        yield a
+
+
 def factor_or_breakdown(factor, a):
     try:
         return factor(a)
@@ -224,12 +235,7 @@ class TestLuFactor:
         self.assert_same_factors(a)
         lu, _ = lu_factor(a)
         assert lu[1, 0] == 0.0 and np.signbit(lu[1, 0]) and np.signbit(lu[2, 0])
-        rng = np.random.default_rng(31)
-        for _ in range(40):
-            size = int(rng.integers(2, 12))
-            a = rng.standard_normal((size, size))
-            a[rng.random(a.shape) < 0.3] = -0.0
-            a[rng.random(a.shape) < 0.2] = 0.0
+        for a in signed_zero_matrices():
             self.assert_same_factors(a)
 
     @pytest.mark.parametrize("a", [[[5.0]], [[-0.0]], [[-3.0]], [[1.0, 2.0], [3.0, 4.0]],
@@ -255,6 +261,23 @@ class TestLuFactor:
         values = [1e308, -1e308, 1.0, -1.0, 0.0, -0.0, 3.0, -2.0]
         for _ in range(100):
             self.assert_same_factors(rng.choice(values, size=(5, 5)))
+
+    def test_caller_buffer_size_is_restored(self, caller_bufsize):
+        lu_factor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert np.getbufsize() == caller_bufsize
+        with pytest.raises(SingularSystemError):
+            lu_factor(np.zeros((3, 3)))
+        assert np.getbufsize() == caller_bufsize
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_factors_do_not_depend_on_caller_buffer_size(self, caller_bufsize):
+        # the loop is elementwise, so its bits cannot depend on how NumPy buffers it
+        k, _ = _hyperbolic_system([uniform_partition(-1.0, 1.0, 15)] * 2)
+        self.assert_same_factors(k)
+        self.assert_same_factors(OVERFLOWING)
+        for a in signed_zero_matrices():
+            self.assert_same_factors(a)
 
 
 def reference_lu_apply(lu, piv, b):
