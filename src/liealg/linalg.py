@@ -22,9 +22,9 @@ class SingularSystemError(RuntimeError):
     they are solved and flagged through the reciprocal condition estimate.
     """
 
-    def __init__(self, pivot_index: int, message: str | None = None):
+    def __init__(self, pivot_index: int):
         self.pivot_index = pivot_index
-        super().__init__(message or f"singular system: no usable pivot at step {pivot_index}")
+        super().__init__(f"singular system: no usable pivot at step {pivot_index}")
 
 
 def _as_real(a) -> np.ndarray:
@@ -144,27 +144,22 @@ def lu_factor(a):
     return lu, np.array(piv)
 
 
-def _lu_apply(lu: np.ndarray, piv: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve with packed factors; ``b`` is a float vector or a float matrix of columns.
-
-    Matrix rows are updated in place through views, with no copy back.  A
-    vector entry is a scalar, which a ufunc call would handle far slower.
-    """
-    x = b[piv]
-    n = lu.shape[0]
-    if x.ndim == 1:
-        for k in range(1, n):
-            x[k] -= lu[k, :k] @ x[:k]
-        for k in range(n - 1, -1, -1):
-            x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-        return x
-    for k, row in enumerate(x[1:], start=1):
-        row -= lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        row = x[k]
-        row -= lu[k, k + 1:] @ x[k + 1:]
-        row /= lu[k, k]
-    return x
+def _substitute(lu: np.ndarray, piv: np.ndarray, b: np.ndarray):
+    """``(x, inv)`` from packed factors: the solution for the float vector ``b`` and the
+    inverse, updating ``x[k]`` and row ``k`` of ``inv`` at each step of one pass per triangle.
+    An entry of ``x`` is a scalar, which a ufunc call would handle far slower; a row of
+    ``inv`` is updated in place through its view, with no copy back."""
+    x, inv = b[piv], np.eye(lu.shape[0])[piv]
+    for k in range(1, lu.shape[0]):
+        l, row = lu[k, :k], inv[k]
+        x[k] -= l @ x[:k]
+        row -= l @ inv[:k]
+    for k in range(lu.shape[0] - 1, -1, -1):
+        u, d, row = lu[k, k + 1:], lu[k, k], inv[k]
+        x[k] = (x[k] - u @ x[k + 1:]) / d
+        row -= u @ inv[k + 1:]
+        row /= d
+    return x, inv
 
 
 def lu_solve(a, b):
@@ -172,18 +167,21 @@ def lu_solve(a, b):
 
     Returns ``(x, rcond)`` where ``rcond = 1 / (norm_inf(a) * norm_inf(a^-1))``
     is computed from the factors; it is the caller's signal for
-    ill-conditioning, which is deliberately not an error here.
+    ill-conditioning, which is deliberately not an error here.  A solve that
+    overflows to a non-finite ``x`` or a NaN ``rcond`` raises ``ValueError``; an
+    infinite inverse with a finite ``x`` gives ``rcond = 0.0``.
     """
     a = as_matrix(a)
     b = as_vector(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"right-hand side length {b.shape[0]} != matrix dimension {a.shape[0]}")
     lu, piv = lu_factor(a)
-    x = _lu_apply(lu, piv, b)
-    inv = _lu_apply(lu, piv, np.eye(a.shape[0]))
-    norm_a = _norm_inf(a)
-    norm_inv = _norm_inf(inv)
-    rcond = 0.0 if norm_inv == 0.0 else 1.0 / (norm_a * norm_inv)
+    with np.errstate(all="ignore"):
+        x, inv = _substitute(lu, piv, b)
+        norm_inv = _norm_inf(inv)
+        rcond = 0.0 if norm_inv == 0.0 else 1.0 / (_norm_inf(a) * norm_inv)
+    if not np.all(np.isfinite(x)) or np.isnan(rcond):
+        raise ValueError("solution is not finite: the solve overflows float64")
     return x, rcond
 
 

@@ -12,9 +12,9 @@ from liealg.linalg import (
     SingularSystemError,
     _format_rows,
     _kron,
-    _lu_apply,
     _norm_inf,
     _powers,
+    _substitute,
     as_matrix,
     as_vector,
     format_matrix,
@@ -305,11 +305,11 @@ class TestLuApply:
 
     def assert_same_solves(self, a, b):
         lu, piv = lu_factor(a)
-        for rhs in (b, np.eye(a.shape[0]), np.asarray(b)[:, None] * np.ones(3)):
-            self.assert_same_bits(_lu_apply(lu, piv, rhs), reference_lu_apply(lu, piv, rhs))
-        x, rcond = lu_solve(a, b)
+        x, inv = _substitute(lu, piv, b)
         self.assert_same_bits(x, reference_lu_apply(lu, piv, b))
-        inv = reference_lu_apply(lu, piv, np.eye(a.shape[0]))
+        self.assert_same_bits(inv, reference_lu_apply(lu, piv, np.eye(a.shape[0])))
+        solved, rcond = lu_solve(a, b)
+        self.assert_same_bits(solved, x)
         assert rcond == 1.0 / (_norm_inf(a) * _norm_inf(inv))
 
     @pytest.mark.parametrize("n", [10, 15, 20])
@@ -332,11 +332,8 @@ class TestLuApply:
     def test_right_hand_side_is_not_modified(self):
         a, b = random_system(np.random.default_rng(34), 6), np.arange(6.0)
         lu, piv = lu_factor(a)
-        eye = np.eye(6)
-        _lu_apply(lu, piv, b)
-        _lu_apply(lu, piv, eye)
+        _substitute(lu, piv, b)
         np.testing.assert_array_equal(b, np.arange(6.0))
-        np.testing.assert_array_equal(eye, np.eye(6))
 
 
 class TestLuSolve:
@@ -359,6 +356,26 @@ class TestLuSolve:
         x, rcond = lu_solve(np.diag([1e-300, 1.0]), [1e-300, 1.0])
         np.testing.assert_array_equal(x, [1.0, 1.0])
         assert rcond == pytest.approx(1e-300)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_factors_are_an_error(self):
+        # lu_factor itself overflows to +-inf and NaN; the solve must not return them
+        with pytest.raises(ValueError, match="not finite"):
+            lu_solve(OVERFLOWING, [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("a, b", [
+        ([[1e-310, 0.0, 1.0], [0.0, 1e-310, 0.0], [0.0, 0.0, 1.0]], [1.0, 1.0, 1.0]),  # x = [nan, inf, 1]
+        ([[1e-310, 0.0], [0.0, 1.0]], [1.0, 1.0]),  # x = [inf, 1]
+    ])
+    def test_overflowing_substitution_is_an_error(self, a, b):
+        with pytest.raises(ValueError, match="not finite"):
+            lu_solve(a, b)
+
+    def test_infinite_inverse_with_finite_solution_gives_zero_rcond(self):
+        x, rcond = lu_solve([[1e-310, 0.0], [0.0, 1.0]], [0.0, 1.0])
+        np.testing.assert_array_equal(x, [0.0, 1.0])
+        assert rcond == 0.0
 
     def test_singular_pivot_index_reported(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
