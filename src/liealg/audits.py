@@ -152,7 +152,9 @@ def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[tuple[int, int]]:
 
     Every power comes from one :func:`_powers` chain, so each matrix has the same bits as
     the 2-D chain of its case alone; the zero padding of the shorter coefficient rows
-    only adds +0.0 to sums that never hold -0.0.
+    only adds +0.0 to sums that never hold -0.0.  The polynomial is B^k (a_k I + a_{k+1} B
+    + ...), so its norm is at most norm(B)^k sum_j |a_j| norm(B)^j; ``rel_tol`` times that
+    bound is its floor, which certifies rank 0 of the round-off residue left once k >= dim.
     """
     count, dim = len(cases), bs.shape[-1]
     coeffs = np.zeros((count, max(c.size for c, _ in cases)))
@@ -165,7 +167,9 @@ def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[tuple[int, int]]:
         poly += column[:, None, None] * powers[ks + j, rows]
     scales = _norm_inf(bs).tolist()
     floors = ([NILPOTENCY_TOL * scale ** dim for scale in scales]
-              + [rel_tol * scale ** k for scale, (_, k) in zip(scales, cases)] + [0.0] * count)
+              + [rel_tol * scale ** k for scale, (_, k) in zip(scales, cases)]
+              + [rel_tol * scale ** k * sum(abs(a) * scale ** j for j, a in enumerate(c.tolist()))
+                 for scale, (c, k) in zip(scales, cases)])
     ranks = _ranks(np.concatenate([powers[dim], powers[ks, rows], poly]), floors, rel_tol)
     if any(ranks[:count]):
         raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")

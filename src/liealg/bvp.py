@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .lifting import _grid_coordinates, grid_eval, poly_operator_matrix
-from .linalg import _as_real, _format_rows, lu_solve
+from .lifting import _grid_coordinates, grid_eval
+from .linalg import _as_real, _format_rows, _kron, lu_solve
 from .operators import _monomial, _poly_matrix
 from .partitions import Partition, uniform_partition
 
@@ -156,15 +156,24 @@ def _hyperbolic_system(ps: list[Partition]) -> tuple[np.ndarray, np.ndarray]:
     coordinate factor a row scaling by a grid vector.  The grouping is kept
     as written: at 15x15 the solve amplifies a one-ulp change of K into a
     change of Emax of the order of Emax itself.
+
+    Each Kronecker term is formed from the stored powers I, Z, Z^2 of each
+    partition into one scratch array and summed into K in place, so the
+    assembly holds two N x N arrays: fresh ones for every term would make
+    the heap trim and fault in their pages again on every solve.
     """
     x, y = _grid_coordinates(ps)
     mask = 1.0 - x * x - y * y
-    dx = _monomial(ps, (1, 0))
-    dy = _monomial(ps, (0, 1))
-    principal = poly_operator_matrix([(1.0, (2, 0)), (-1.0, (0, 2))], ps)
-    principal += y[:, None] * dx  # the assembler's term (y, (1, 0)), bit for bit, on dx
-    k = (mask[:, None] * principal - (4.0 * x)[:, None] * dx + (4.0 * y)[:, None] * dy
-         - np.diag(2.0 * x * y))
+    zx, zy = ([_monomial([p], (k,)) for k in range(3)] for p in ps)
+    k = _kron([zx[2], zy[0]])
+    k += 0.0  # a sum started from zeros: -0.0 becomes +0.0
+    scratch = np.empty_like(k)
+    k -= _kron([zx[0], zy[2]], out=scratch)
+    k += np.multiply(y[:, None], _kron([zx[1], zy[0]], out=scratch), out=scratch)
+    k *= mask[:, None]
+    k -= np.multiply((4.0 * x)[:, None], _kron([zx[1], zy[0]], out=scratch), out=scratch)
+    k += np.multiply((4.0 * y)[:, None], _kron([zx[0], zy[1]], out=scratch), out=scratch)
+    k.reshape(-1)[::k.shape[0] + 1] -= 2.0 * x * y
     return k, mask
 
 

@@ -53,19 +53,24 @@ def as_vector(a) -> np.ndarray:
     return m
 
 
-def _kron(factors) -> np.ndarray:
+def _kron(factors, out=None) -> np.ndarray:
     """kron(F_d, ..., F_1) of per-dimension factors (F_1, ..., F_d), by broadcasting.
 
     Each step forms the same entrywise products, in the same order, as a chain
     of NumPy ``kron`` calls, so the result is bit-identical (signed zeros
-    included) without NumPy's generic N-d overhead on small factors.
+    included) without NumPy's generic N-d overhead on small factors.  Given
+    two or more factors, ``out``, a C-contiguous float array of the product's
+    shape, receives the last step's products and is returned.
     """
-    out = factors[-1]
+    product = factors[-1]
     for i in range(len(factors) - 2, -1, -1):
         f = factors[i]
-        shape = (out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
-        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(shape)
-    return out
+        grid = (product.shape[0], f.shape[0], product.shape[1], f.shape[1])
+        step = out if i == 0 and out is not None else np.empty(
+            (grid[0] * grid[1], grid[2] * grid[3]))
+        np.multiply(product[:, None, :, None], f[None, :, None, :], out=step.reshape(grid))
+        product = step
+    return product
 
 
 def _powers(m: np.ndarray, top: int) -> np.ndarray:
@@ -149,12 +154,14 @@ def _substitute(lu: np.ndarray, piv: np.ndarray, b: np.ndarray):
     inverse, updating ``x[k]`` and row ``k`` of ``inv`` at each step of one pass per triangle.
     An entry of ``x`` is a scalar, which a ufunc call would handle far slower; a row of
     ``inv`` is updated in place through its view, with no copy back."""
-    x, inv = b[piv], np.eye(lu.shape[0])[piv]
-    for k in range(1, lu.shape[0]):
+    n = lu.shape[0]
+    x, inv = b[piv], np.zeros((n, n))
+    inv[np.arange(n), piv] = 1.0  # the rows of the identity in pivot order
+    for k in range(1, n):
         l, row = lu[k, :k], inv[k]
         x[k] -= l @ x[:k]
         row -= l @ inv[:k]
-    for k in range(lu.shape[0] - 1, -1, -1):
+    for k in range(n - 1, -1, -1):
         u, d, row = lu[k, k + 1:], lu[k, k], inv[k]
         x[k] = (x[k] - u @ x[k + 1:]) / d
         row -= u @ inv[k + 1:]
@@ -170,16 +177,21 @@ def lu_solve(a, b):
     ill-conditioning, which is deliberately not an error here.  A solve that
     overflows to a non-finite ``x`` or a NaN ``rcond`` raises ``ValueError``; an
     infinite inverse with a finite ``x`` gives ``rcond = 0.0``.
+
+    Besides ``a``, a solve holds at most two N x N arrays at a time: the factors,
+    and the elimination's update buffer or the inverse.
     """
     a = as_matrix(a)
     b = as_vector(b)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"right-hand side length {b.shape[0]} != matrix dimension {a.shape[0]}")
+    with np.errstate(all="ignore"):  # |a| is freed before the factors are made
+        norm_a = _norm_inf(a)
     lu, piv = lu_factor(a)
     with np.errstate(all="ignore"):
         x, inv = _substitute(lu, piv, b)
-        norm_inv = _norm_inf(inv)
-        rcond = 0.0 if norm_inv == 0.0 else 1.0 / (_norm_inf(a) * norm_inv)
+        norm_inv = float(np.abs(inv, out=inv).sum(axis=-1).max())  # |inv| in place
+        rcond = 0.0 if norm_inv == 0.0 else 1.0 / (norm_a * norm_inv)
     if not np.all(np.isfinite(x)) or np.isnan(rcond):
         raise ValueError("solution is not finite: the solve overflows float64")
     return x, rcond

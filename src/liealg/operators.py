@@ -102,7 +102,7 @@ def _monomial(ps: list[Partition], exponents) -> np.ndarray:
     """kron(Z_d^{k_d}, ..., Z_1^{k_1}) of a grid, for exponents checked by :func:`_exponents`,
     from the store on ``ps[0]`` keyed by ``(tuple(ps[1:]), exponents)``.  A power of one
     partition (Z^0 = I) is stored read-only on first use, a product from its second request,
-    after a ``None`` marker (a 2-D solve asks once per monomial, so it keeps none).  A
+    after a ``None`` marker (a product asked for once is never kept).  A
     power or product that is not finite raises ``ValueError`` and is never stored."""
     store, key = ps[0]._monomials, (tuple(ps[1:]), exponents)
     matrix = store.get(key)
@@ -121,8 +121,9 @@ def _monomial(ps: list[Partition], exponents) -> np.ndarray:
         matrix = np.eye(ps[0].n + 1)
     elif exponents == (1,):
         matrix = _diff_matrices(ps[0].nodes[None])[0]
-    else:  # its own array, not a view holding the lower powers; as_matrix rejects overflow
-        matrix = as_matrix(_powers(_monomial(ps, (1,)), exponents[0])[-1].copy())
+    else:  # its own array, not a view holding the lower powers; as_matrix rejects overflow,
+        with np.errstate(all="ignore"):  # which some BLAS kernels signal as inf - inf
+            matrix = as_matrix(_powers(_monomial(ps, (1,)), exponents[0])[-1].copy())
     matrix.flags.writeable = False
     store[key] = matrix
     return matrix

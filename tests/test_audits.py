@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -60,12 +62,19 @@ def reference_rank_ladder(h, rel_tol, prefix):
                         rel_tol) for k in range(n + 2)]
 
 
+def poly_floor(b, coeffs, k, rel_tol):
+    """rel_tol * norm(B)^k * sum_j |a_j| norm(B)^j: the bound on the polynomial's norm, scaled."""
+    scale = _norm_inf(b)
+    return rel_tol * scale ** k * sum(abs(a) * scale ** j for j, a in enumerate(coeffs))
+
+
 def reference_nilpotent_poly_rank(b, coeffs, k, rel_tol):
     assert reference_power_rank(b, len(b), rel_tol, NILPOTENCY_TOL) == 0
     poly = sum(c * np.linalg.matrix_power(b, k + j) for j, c in enumerate(coeffs))
+    observed = (0 if norm_inf(poly) <= poly_floor(b, coeffs, k, rel_tol)
+                else numerical_rank(poly, rel_tol))
     return AuditReport(f"nilpotent_poly_rank[k={k};m={k + len(coeffs) - 1}]",
-                       reference_power_rank(b, k, rel_tol, rel_tol),
-                       numerical_rank(poly, rel_tol), rel_tol)
+                       reference_power_rank(b, k, rel_tol, rel_tol), observed, rel_tol)
 
 
 def reference_random_poly_rank_case(rng, rel_tol):
@@ -95,7 +104,8 @@ def reference_poly_ranks(cases, rel_tol):
             poly += c * chain[k + j]
         scale = _norm_inf(b)
         matrices += [chain[dim], chain[k], poly]
-        floors += [NILPOTENCY_TOL * scale ** dim, rel_tol * scale ** k, 0.0]
+        floors += [NILPOTENCY_TOL * scale ** dim, rel_tol * scale ** k,
+                   poly_floor(b, coeffs, k, rel_tol)]
     ranks = audits._ranks(np.stack(matrices), floors, rel_tol)
     if any(ranks[::3]):
         raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
@@ -277,6 +287,19 @@ class TestNilpotentPolyRankAudit:
                 assert stack.tobytes() == regrouped.tobytes()
                 assert floors == (reference_floors[0::3] + reference_floors[1::3]
                                   + reference_floors[2::3])
+
+    @pytest.mark.parametrize("seed", [7, 42])
+    def test_power_past_nilpotency_index_has_rank_zero(self, seed):
+        # once k >= dim, B^k and the polynomial are exactly 0: the verdict must not
+        # rest on the round-off residue of the power chain
+        rng = np.random.default_rng(seed)
+        for _ in range(30):
+            n = int(rng.integers(2, 8))
+            z = diff_matrix(jittered_partition(rng, n))
+            coeffs = rng.choice([-1.0, 1.0]) * rng.uniform(0.25, 2.0, size=rng.integers(1, 5))
+            for k, rel_tol in product((n + 1, n + 2), (1e-8, 1e-10)):
+                report = audit_nilpotent_poly_rank(z, coeffs, k, rel_tol)
+                assert report.expected == report.observed == 0
 
     def test_stacked_builder_checks_every_hypothesis(self):
         bs = np.stack([JORDAN2, np.eye(2), JORDAN2])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from liealg import bvp
 from liealg.bvp import (
     _hyperbolic_system,
     two_point_coefficients,
@@ -17,8 +19,8 @@ from liealg.bvp import (
     solve_two_point,
     solve_hyperbolic,
 )
-from liealg.lifting import _grid_coordinates, lifted_diff, poly_operator_matrix, realize
-from liealg.linalg import _kron
+from liealg.lifting import _grid_coordinates, grid_eval, lifted_diff, poly_operator_matrix, realize
+from liealg.linalg import _kron, lu_solve
 from liealg.operators import diff_matrix
 from liealg.partitions import uniform_partition
 
@@ -216,6 +218,18 @@ class TestSolveHyperbolic:
             np.testing.assert_array_equal(got, expected)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_operator_raises(self, bad, monkeypatch):
+        def poisoned(ps):
+            k, mask = system(ps)
+            k[3, 5] = bad
+            return k, mask
+
+        system = bvp._hyperbolic_system
+        monkeypatch.setattr(bvp, "_hyperbolic_system", poisoned)
+        with pytest.raises(ValueError, match="finite"):
+            solve_hyperbolic(6, 6)
+
     def test_report_carries_partitions(self):
         report = solve_hyperbolic(6, 4)
         assert [p.n for p in report.partitions] == [6, 4]
@@ -226,6 +240,28 @@ class TestSolveHyperbolic:
             solve_hyperbolic(3, 10)
         with pytest.raises(ValueError, match="4..20"):
             solve_hyperbolic(10, 21)
+
+
+def traced_peak(f, *args):
+    """Peak bytes that tracemalloc sees allocated while ``f(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [15, 20])
+def test_solve_peak_memory_in_n_squared_doubles(n):
+    # the assembly holds K and one scratch array; the solve holds the factors and the
+    # update buffer or the inverse; a fresh array per term peaked above 5 N^2 doubles
+    unit = 8 * ((n + 1) ** 2) ** 2
+    ps = [uniform_partition(-1.0, 1.0, n) for _ in range(2)]
+    assert traced_peak(_hyperbolic_system, ps) <= 2.5 * unit
+    k, _ = _hyperbolic_system(ps)
+    assert traced_peak(lu_solve, k, grid_eval(hyperbolic_rhs, ps)) <= 2.25 * unit
+    assert traced_peak(solve_hyperbolic, n, n) <= 3.5 * unit
 
 
 class TestErrorMetrics:

@@ -59,6 +59,23 @@ class TestKron:
             negative_zeros += np.count_nonzero((got == 0.0) & np.signbit(got))
         assert negative_zeros > 0
 
+    def test_out_is_filled_bit_identically_and_returned(self):
+        rng = np.random.default_rng(22)
+        negative_zeros = 0
+        for d in (2, 3, 2, 3):
+            factors = [rng.standard_normal(tuple(rng.integers(1, 5, size=2))) for _ in range(d)]
+            for f in factors:
+                f[rng.random(f.shape) < 0.3] = 0.0
+                f[rng.random(f.shape) < 0.2] = -0.0
+            expected = _kron(factors)
+            buf = np.full(expected.shape, np.nan)
+            got = _kron(factors, out=buf)
+            assert got is buf
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+            negative_zeros += np.count_nonzero((got == 0.0) & np.signbit(got))
+        assert negative_zeros > 0
+
     def test_diagonal_blocks(self):
         got = kron(np.diag([1.0, 2.0]), np.eye(2))
         np.testing.assert_array_equal(got, np.diag([1.0, 1.0, 2.0, 2.0]))

@@ -254,11 +254,12 @@ class TestDiffPowerPerPartition:
         np.testing.assert_array_equal(power(first, 2), power(second, 2))
 
     def test_overflowing_power_raises_each_call_and_is_not_stored(self):
-        # Z has entries of 1e200, so Z^2 overflows float64
+        # Z has entries of 1e200, so Z^2 overflows float64: a ValueError, and no warning
+        # (the pytest configuration makes a RuntimeWarning an error) on any BLAS kernel
         p = Partition(np.array([0.0, 1e-200, 1.0]))
         assert np.all(np.isfinite(diff_matrix(p)))
         for _ in range(2):
-            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="finite"):
                 poly_operator_matrix([(1.0, (2,))], [p])
         assert 2 not in powers(p)
 
@@ -348,21 +349,21 @@ class TestLiftedMonomialStore:
         assert p_ref() is None and q_ref() is None  # the store goes with its partition
 
     def test_monomials_asked_for_once_store_no_matrix(self):
-        # a 2-D solve asks for each monomial once: no N x N product outlives it
+        # a 2-D solve forms its products from the stored 1-D powers: no N x N product,
+        # and no marker of one, outlives it
         ps = [uniform_partition(-1.0, 1.0, 15), uniform_partition(-1.0, 1.0, 15)]
         _hyperbolic_system(ps)
-        markers = products(ps[0])
-        assert len(markers) == 4 and not stored(ps[0])  # Dx, Dy, Dx^2, Dy^2
-        assert {exponents for _, exponents in markers} == {(1, 0), (0, 1), (2, 0), (0, 2)}
-        assert not products(ps[1])
+        for p in ps:
+            assert not products(p)
+            assert sorted(powers(p)) == [0, 1, 2]
 
     @pytest.mark.parametrize("position", [0, 1])
     def test_overflowing_power_raises_each_call_and_is_not_stored(self, position):
-        # Z has entries of 1e200, so Z^2 overflows float64
+        # Z has entries of 1e200, so Z^2 overflows float64: a ValueError, and no warning
         ps = [uniform_partition(0.0, 1.0, 2), uniform_partition(0.0, 1.0, 3)]
         ps[position] = Partition(np.array([0.0, 1e-200, 1.0]))
         for _ in range(3):
-            with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="finite"):
                 poly_operator_matrix([(1.0, (2, 2))], ps)
         assert not products(ps[0]) and 2 not in powers(ps[position])
 
