@@ -39,7 +39,7 @@ def as_matrix(a) -> np.ndarray:
     m = _as_real(a)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -48,7 +48,7 @@ def as_vector(a) -> np.ndarray:
     m = _as_real(a)
     if m.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("vector entries must be finite")
     return m
 
@@ -116,6 +116,8 @@ def lu_factor(a):
     where NumPy's buffered iterator handles the strided multiply fastest, and
     the caller's buffer size is restored on return or error.  Every operation
     of the loop is elementwise, so the factors do not depend on the buffer size.
+    Factors that overflow come back holding infinities or NaN, with no NumPy
+    warning; :func:`lu_solve` rejects them.
     """
     lu = as_matrix(a).copy()
     n, m = lu.shape
@@ -129,21 +131,22 @@ def lu_factor(a):
     # try/finally, not errstate: errstate restores the buffer size only from NumPy 2.0
     old_bufsize = np.setbufsize(_ELIMINATION_BUFSIZE)
     try:
-        for k in range(n):
-            p = k + int(np.argmax(np.abs(lu[k:, k], out=magnitudes[k:])))
-            if lu[p, k] == 0.0:
-                raise SingularSystemError(k)
-            if p != k:
-                row[:] = lu[k]
-                lu[k] = lu[p]
-                lu[p] = row
-                piv[k], piv[p] = piv[p], piv[k]
-            rest = n - k - 1
-            l = np.divide(lu[k + 1:, k], lu[k, k], out=lu[k + 1:, k])
-            update[:rest, k] = 0.0
-            np.multiply(l[:, None], lu[k, k + 1:], out=update[:rest, k + 1:])
-            tail = flat_lu[(k + 1) * n:]
-            np.subtract(tail, flat_update[:rest * n], out=tail)
+        with np.errstate(all="ignore"):
+            for k in range(n):
+                p = k + int(np.argmax(np.abs(lu[k:, k], out=magnitudes[k:])))
+                if lu[p, k] == 0.0:
+                    raise SingularSystemError(k)
+                if p != k:
+                    row[:] = lu[k]
+                    lu[k] = lu[p]
+                    lu[p] = row
+                    piv[k], piv[p] = piv[p], piv[k]
+                rest = n - k - 1
+                l = np.divide(lu[k + 1:, k], lu[k, k], out=lu[k + 1:, k])
+                update[:rest, k] = 0.0
+                np.multiply(l[:, None], lu[k, k + 1:], out=update[:rest, k + 1:])
+                tail = flat_lu[(k + 1) * n:]
+                np.subtract(tail, flat_update[:rest * n], out=tail)
     finally:
         np.setbufsize(old_bufsize)
     return lu, np.array(piv)

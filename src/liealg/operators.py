@@ -30,8 +30,8 @@ def diff_matrix(p: Partition) -> np.ndarray:
     Raises ``ValueError`` when the pi-weights leave the float64 range and an
     entry comes out infinite or NaN (e.g. 1001 uniform nodes on [-1, 1]).
 
-    The matrix is built once per partition and stored on it, read-only; later
-    calls return the same array.  A failure is not stored, so it repeats.
+    The store on ``p`` builds it once and keeps it, read-only, from first use, so
+    later calls return the same array.  A failure is not stored, so it repeats.
     """
     return _monomial([p], (1,))
 
@@ -100,30 +100,24 @@ def _poly_matrix(terms, ps: list[Partition]) -> np.ndarray:
 
 def _monomial(ps: list[Partition], exponents) -> np.ndarray:
     """kron(Z_d^{k_d}, ..., Z_1^{k_1}) of a grid, for exponents checked by :func:`_exponents`,
-    from the store on ``ps[0]`` keyed by ``(tuple(ps[1:]), exponents)``.  A power of one
-    partition (Z^0 = I) is stored read-only on first use, a product from its second request,
-    after a ``None`` marker (a product asked for once is never kept).  A
-    power or product that is not finite raises ``ValueError`` and is never stored."""
+    from the store on ``ps[0]`` keyed by ``(tuple(ps[1:]), exponents)``.  Each monomial, I, Z,
+    Z^k or a product of stored powers, is built once and stored read-only on first use; one
+    that is not finite raises ``ValueError`` on every call and is never stored."""
     store, key = ps[0]._monomials, (tuple(ps[1:]), exponents)
     matrix = store.get(key)
     if matrix is not None:
         return matrix
-    if len(ps) > 1:
-        factors = [_monomial([p], (k,)) for p, k in zip(ps, exponents)]
-        # the largest entry, exactly (monotone rounding, _kron's order); floats overflow quietly
-        if prod(float(np.abs(f).max()) for f in reversed(factors)) == np.inf:
-            raise ValueError(f"lifted monomial {exponents} overflows float64")
-        matrix = _kron(factors)
-        if key not in store:  # the first request on this grid
-            store[key] = None
-            return matrix
-    elif exponents == (0,):
-        matrix = np.eye(ps[0].n + 1)
-    elif exponents == (1,):
-        matrix = _diff_matrices(ps[0].nodes[None])[0]
-    else:  # its own array, not a view holding the lower powers; as_matrix rejects overflow,
-        with np.errstate(all="ignore"):  # which some BLAS kernels signal as inf - inf
-            matrix = as_matrix(_powers(_monomial(ps, (1,)), exponents[0])[-1].copy())
+    # as_matrix rejects overflow, with no warning whether a kernel signals it or inf - inf
+    with np.errstate(all="ignore"):
+        if len(ps) > 1:
+            matrix = _kron([_monomial([p], (k,)) for p, k in zip(ps, exponents)])
+        elif exponents == (0,):
+            matrix = np.eye(ps[0].n + 1)
+        elif exponents == (1,):
+            matrix = _diff_matrices(ps[0].nodes[None])[0]
+        else:  # its own array, not a view holding the lower powers
+            matrix = _powers(_monomial(ps, (1,)), exponents[0])[-1].copy()
+    matrix = as_matrix(matrix)
     matrix.flags.writeable = False
     store[key] = matrix
     return matrix

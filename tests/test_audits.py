@@ -1,4 +1,7 @@
+from fractions import Fraction
+from functools import reduce
 from itertools import product
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -361,6 +364,46 @@ class TestCounterexample:
         np.testing.assert_array_equal(got, expected)
 
 
+def exact_diff_matrix(nodes):
+    """Z of a node row in rationals, from the closed form of ``diff_matrix``."""
+    xs = [Fraction(x) for x in nodes.tolist()]
+    pi = [prod(xj - x for x in xs if x != xj) for xj in xs]
+    return [[sum(1 / (xj - x) for x in xs if x != xj) if j == k else pi[j] / pi[k] / (xj - xk)
+             for k, xk in enumerate(xs)] for j, xj in enumerate(xs)]
+
+
+def exact_lifted_matrices(cases, ps):
+    """The operator of each term list (integer coefficients) times a common positive scale, as
+    Python-int object arrays: each Z is scaled by the least common denominator of the Zs'
+    entries, and each monomial by that scale's power missing from its total degree."""
+    zs = [exact_diff_matrix(p.nodes) for p in ps]
+    scale = lcm(*(f.denominator for z in zs for row in z for f in row))
+    zs = [np.array([[int(f * scale) for f in row] for row in z], dtype=object) for z in zs]
+    top = max(sum(e) for terms in cases for _, e in terms)
+    for terms in cases:
+        yield sum(int(c) * scale ** (top - sum(e))
+                  * reduce(np.kron, [np.linalg.matrix_power(z, k) for z, k in zip(zs, e)][::-1])
+                  for c, e in terms)
+
+
+def bareiss_rank(rows):
+    """Exact rank of an integer matrix (a list of rows) by fraction-free elimination: every
+    entry stays the minor it stands for, so each division is exact."""
+    rows, rank, previous = [list(row) for row in rows], 0, 1
+    for col in range(len(rows[0])):
+        p = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        pivot_row = rows[rank]
+        pivot = pivot_row[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            rows[r] = [(pivot * a - f * b) // previous for a, b in zip(rows[r], pivot_row)]
+        previous, rank = pivot, rank + 1
+    return rank
+
+
 class TestLiftedPolyRankAudit:
     PS33 = [uniform_partition(0, 3, 3), uniform_partition(-1.5, 1.5, 3)]
 
@@ -391,6 +434,28 @@ class TestLiftedPolyRankAudit:
         assert reports == [r for terms in family for r in _lifted_poly_reports([terms], ps, 1e-8)]
         assert [r.observed for r in reports] == [
             numerical_rank(poly_operator_matrix(terms, ps)) == 16 for terms in family]
+
+    def test_default_suite_ranks_are_exact_and_clear_of_the_threshold(self):
+        # the rank threshold is relative to sigma_1, so it cannot certify rank 0 (floor 0.0);
+        # no case of the default suite's grid needs it: the exact ranks are 8, 9, 12 or 16,
+        # every float rank equals its exact rank, and every singular value lies more than 3
+        # decades from rel_tol * sigma_1 (4.1 the closest of the cases with no constant term)
+        ps = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
+        cases = [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
+                 *_lifted_poly_family()]
+        exact = [bareiss_rank(m.tolist()) for m in exact_lifted_matrices(cases, ps)]
+        matrices = np.stack([poly_operator_matrix(terms, ps) for terms in cases])
+        assert numerical_rank(matrices).tolist() == exact
+        without_constant = [rank for terms, rank in zip(cases, exact)
+                            if all(e != (0, 0) for _, e in terms)]
+        assert len(without_constant) == 131 and set(without_constant) == {8, 9, 12}
+        assert set(exact) == {8, 9, 12, 16}
+        s = np.linalg.svd(matrices, compute_uv=False)
+        with np.errstate(divide="ignore"):  # an exactly zero singular value is infinitely far
+            assert np.abs(np.log10(s / (1e-8 * s[:, :1]))).min() > 3.0
+        reports = _lifted_poly_reports(cases, ps, 1e-8)
+        assert all(r.passed for r in reports)
+        assert [r.observed for r in reports] == [rank == 16 for rank in exact]
 
 
 class TestAuditReport:

@@ -286,6 +286,17 @@ class TestLuFactor:
             lu_factor(np.zeros((3, 3)))
         assert np.getbufsize() == caller_bufsize
 
+    def test_overflow_keeps_caller_error_state_and_buffer_size(self, caller_bufsize):
+        # a caller that raises on overflow gets non-finite factors, not a FloatingPointError
+        with np.errstate(over="raise", invalid="raise", divide="warn", under="warn"):
+            caller = np.geterr()
+            lu, _ = lu_factor(OVERFLOWING)
+            assert not np.isfinite(lu).all()
+            assert np.geterr() == caller and np.getbufsize() == caller_bufsize
+            with pytest.raises(SingularSystemError):
+                lu_factor(np.zeros((3, 3)))
+            assert np.geterr() == caller and np.getbufsize() == caller_bufsize
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
     def test_factors_do_not_depend_on_caller_buffer_size(self, caller_bufsize):
@@ -374,8 +385,6 @@ class TestLuSolve:
         np.testing.assert_array_equal(x, [1.0, 1.0])
         assert rcond == pytest.approx(1e-300)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_overflowing_factors_are_an_error(self):
         # lu_factor itself overflows to +-inf and NaN; the solve must not return them
         with pytest.raises(ValueError, match="not finite"):
