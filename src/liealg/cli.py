@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -167,9 +166,8 @@ def _partition_from_config(config: RunConfig) -> Partition:
 
 
 def _table_row(method: str, label: str, report: bvp.BvpReport) -> str:
-    rcond = "nan" if math.isnan(report.rcond) else f"{report.rcond:.4e}"
     return (f"{method},{label},{report.error_sum:.4e},{report.error_max:.4e},"
-            f"{report.error_avg:.4e},{rcond}")
+            f"{report.error_avg:.4e},{report.rcond:.4e}")
 
 
 def _solve_2d(n1: int, n2: int) -> tuple[bvp.BvpReport, int]:

@@ -215,6 +215,15 @@ class TestRankLadder:
         with pytest.raises(ValueError, match="rank"):
             audit_rank_ladder(np.zeros((3, 3)))
 
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            audit_rank_ladder(np.ones((2, 3)))
+
+    def test_rejects_non_nilpotent_of_rank_n(self):
+        # rank 1 = n as the ladder needs, but H^2 = H
+        with pytest.raises(ValueError, match=r"H\^2 is not numerically zero"):
+            audit_rank_ladder(np.diag([1.0, 0.0]))
+
 
 class TestNilpotentPolyRankAudit:
     def test_shifted_square_is_full_rank(self):
@@ -322,6 +331,14 @@ class TestNilpotentPolyRankAudit:
     def test_rejects_zero_leading_coefficient(self):
         with pytest.raises(ValueError, match="nonzero"):
             audit_nilpotent_poly_rank(JORDAN2, [0.0, 1.0], 0)
+
+    def test_rejects_missing_coefficients(self):
+        with pytest.raises(ValueError, match="at least the coefficient a_k"):
+            audit_nilpotent_poly_rank(JORDAN2, [], 0)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            audit_nilpotent_poly_rank(np.ones((2, 3)), [1.0], 0)
 
 
 class TestCounterexample:

@@ -1,5 +1,8 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +77,11 @@ class TestDiffmat:
         assert err.startswith(f"liealg: bad node file {path}: ") and reason in err
         assert err.count("\n") == 1
 
+    def test_bad_node_list_is_config_error(self, capsys):
+        status, out, err = run_cli(capsys, "diffmat", "--nodes", "0,x,1")
+        assert status == 2 and out == ""
+        assert err == "liealg: bad node list '0,x,1'\n"
+
     def test_non_finite_matrix_is_an_error(self, capsys, tmp_path):
         # 1001 uniform nodes on [-1, 1] overflow the pi-weights
         path = tmp_path / "nodes.txt"
@@ -99,6 +107,16 @@ class TestDiffmat:
         status, text = run(RunConfig("diffmat", n=20))
         assert status == 0
         assert text.encode() == (DATA / "diffmat_n20.txt").read_bytes()
+
+    def test_module_entry_point_matches_golden_file(self):
+        # python -m liealg.cli, with the liealg this suite imports
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        child = subprocess.run([sys.executable, "-m", "liealg.cli", "diffmat", "--n", "20"],
+                               capture_output=True, env=env, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == (DATA / "diffmat_n20.txt").read_bytes()
 
     def test_jittered_output_matches_golden_file(self):
         # Z on unequal spacings: 13 jittered nodes given as a repr-formatted comma list

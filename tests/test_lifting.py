@@ -310,6 +310,10 @@ class TestPolyOperatorMatrix:
         with pytest.raises(TypeError):
             poly_operator_matrix([(1.0, (1.5, 0))], UNIT_SQUARE)
 
+    def test_empty_grid_raises(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            poly_operator_matrix([], [])
+
 
 class TestGridEval:
     def test_constant(self):

@@ -414,6 +414,12 @@ class TestLuSolve:
             lu_solve(np.ones((2, 3)), [1.0, 1.0])
         with pytest.raises(ValueError, match="length"):
             lu_solve(np.eye(2), [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="1-D vector"):
+            lu_solve(np.eye(2), np.ones((2, 1)))
+
+    def test_non_finite_right_hand_side_is_an_error(self):
+        with pytest.raises(ValueError, match="vector entries must be finite"):
+            lu_solve(np.eye(2), [1.0, np.inf])
 
     def test_residual_bound_random_systems(self):
         rng = np.random.default_rng(11)

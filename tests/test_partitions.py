@@ -83,6 +83,10 @@ class TestUniformPartition:
         with pytest.raises(ValueError, match="a < b"):
             uniform_partition(1.0, 1.0, 3)
 
+    def test_rejects_no_subintervals(self):
+        with pytest.raises(ValueError, match="n >= 1, got 0"):
+            uniform_partition(0.0, 1.0, 0)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
     def test_rejects_non_finite_endpoint_before_spacing(self, a, b):
