@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
+from numpy.linalg import matrix_norm
 
 from .lifting import full_rank_predicate, poly_operator_matrix, space_of
-from .linalg import _as_real, _norm_inf, _powers, as_matrix, numerical_rank
+from .linalg import _as_real, _powers, as_matrix, numerical_rank
 from .operators import _diff_matrices, diff_matrix
 from .partitions import Partition, _check_nodes, _jittered_nodes, uniform_partition
 
@@ -67,7 +68,7 @@ def _ranks(stack: np.ndarray, floors, rel_tol: float) -> list[int]:
     rank 0 of a round-off residue; the decay scale norm(H)^k can.
     """
     # a NaN norm stays live, so numerical_rank rejects it as non-finite
-    live = [not top <= floor for top, floor in zip(_norm_inf(stack).tolist(), floors)]
+    live = [not top <= floor for top, floor in zip(matrix_norm(stack, ord=np.inf).tolist(), floors)]
     ranks = iter(numerical_rank(stack if all(live) else stack[live], rel_tol).tolist())
     return [next(ranks) if alive else 0 for alive in live]
 
@@ -89,7 +90,7 @@ def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
     pairs: list = [None] * len(cases)
     for group, zs in _z_stacks([nodes for nodes, _ in cases]):
         n = zs.shape[-1] - 1
-        floors = [NILPOTENCY_TOL * z ** (n + 1) for z in _norm_inf(zs).tolist()]
+        floors = [NILPOTENCY_TOL * z ** (n + 1) for z in matrix_norm(zs, ord=np.inf).tolist()]
         ranks = _ranks(np.concatenate([zs, _powers(zs, n + 1)[-1]]),
                        [0.0] * len(group) + floors, rel_tol)
         for row, i in enumerate(group):
@@ -120,7 +121,7 @@ def audit_rank_ladder(h, rel_tol: float = 1e-8, prefix: str = "rank_ladder") -> 
     n = h.shape[0] - 1
     # H^0 .. H^(n+1), then H^(n+1) once more for the nilpotency hypothesis
     powers = _powers(h, n + 1)
-    scale = _norm_inf(h)
+    scale = float(matrix_norm(h, ord=np.inf))
     floors = [rel_tol * scale ** k for k in range(n + 2)] + [NILPOTENCY_TOL * scale ** (n + 1)]
     ranks = _ranks(np.concatenate([powers, powers[-1:]]), floors, rel_tol)
     if ranks[1] != n:
@@ -165,7 +166,7 @@ def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[tuple[int, int]]:
     poly = np.zeros_like(bs)
     for j, column in enumerate(coeffs.T):
         poly += column[:, None, None] * powers[ks + j, rows]
-    scales = _norm_inf(bs).tolist()
+    scales = matrix_norm(bs, ord=np.inf).tolist()
     floors = ([NILPOTENCY_TOL * scale ** dim for scale in scales]
               + [rel_tol * scale ** k for scale, (_, k) in zip(scales, cases)]
               + [rel_tol * scale ** k * sum(abs(a) * scale ** j for j, a in enumerate(c.tolist()))

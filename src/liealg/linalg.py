@@ -85,12 +85,6 @@ def _powers(m: np.ndarray, top: int) -> np.ndarray:
     return out
 
 
-def _norm_inf(a: np.ndarray):
-    """Infinity norm of a matrix (a float), or of each matrix of a stack (an array)."""
-    norms = np.abs(a).sum(axis=-1).max(axis=-1)
-    return float(norms) if norms.ndim == 0 else norms
-
-
 # Ufunc buffer size (elements) of the elimination loop.  NumPy's buffered iterator
 # slows a strided 2-D ufunc as the buffer grows: lu_factor of the 256x256 table3
 # operator took 7.7-8.2 ms at 16..512, 10.7 ms at 1024, 14.3 ms at the default 8192
@@ -128,27 +122,23 @@ def lu_factor(a):
     magnitudes = np.empty(n)
     update = np.zeros((n, n))  # the rank-1 update of each step, in its first rows
     flat_lu, flat_update = lu.reshape(-1), update.reshape(-1)
-    # try/finally, not errstate: errstate restores the buffer size only from NumPy 2.0
-    old_bufsize = np.setbufsize(_ELIMINATION_BUFSIZE)
-    try:
-        with np.errstate(all="ignore"):
-            for k in range(n):
-                p = k + int(np.argmax(np.abs(lu[k:, k], out=magnitudes[k:])))
-                if lu[p, k] == 0.0:
-                    raise SingularSystemError(k)
-                if p != k:
-                    row[:] = lu[k]
-                    lu[k] = lu[p]
-                    lu[p] = row
-                    piv[k], piv[p] = piv[p], piv[k]
-                rest = n - k - 1
-                l = np.divide(lu[k + 1:, k], lu[k, k], out=lu[k + 1:, k])
-                update[:rest, k] = 0.0
-                np.multiply(l[:, None], lu[k, k + 1:], out=update[:rest, k + 1:])
-                tail = flat_lu[(k + 1) * n:]
-                np.subtract(tail, flat_update[:rest * n], out=tail)
-    finally:
-        np.setbufsize(old_bufsize)
+    with np.errstate(all="ignore"):  # restores the caller's buffer size too
+        np.setbufsize(_ELIMINATION_BUFSIZE)
+        for k in range(n):
+            p = k + int(np.abs(lu[k:, k], out=magnitudes[k:]).argmax())
+            if magnitudes[p] == 0.0:
+                raise SingularSystemError(k)
+            if p != k:
+                row[:] = lu[k]
+                lu[k] = lu[p]
+                lu[p] = row
+                piv[k], piv[p] = piv[p], piv[k]
+            rest = n - k - 1
+            l = np.divide(lu[k + 1:, k], lu[k, k], out=lu[k + 1:, k])
+            update[:rest, k] = 0.0
+            np.multiply(l[:, None], lu[k, k + 1:], out=update[:rest, k + 1:])
+            tail = flat_lu[(k + 1) * n:]
+            np.subtract(tail, flat_update[:rest * n], out=tail)
     return lu, np.array(piv)
 
 
@@ -189,9 +179,8 @@ def lu_solve(a, b):
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"right-hand side length {b.shape[0]} != matrix dimension {a.shape[0]}")
     with np.errstate(all="ignore"):  # |a| is freed before the factors are made
-        norm_a = _norm_inf(a)
-    lu, piv = lu_factor(a)
-    with np.errstate(all="ignore"):
+        norm_a = float(np.linalg.matrix_norm(a, ord=np.inf))
+        lu, piv = lu_factor(a)
         x, inv = _substitute(lu, piv, b)
         norm_inv = float(np.abs(inv, out=inv).sum(axis=-1).max())  # |inv| in place
         rcond = 0.0 if norm_inv == 0.0 else 1.0 / (norm_a * norm_inv)

@@ -27,8 +27,9 @@ def diff_matrix(p: Partition) -> np.ndarray:
     bit-reproducible.  Applied to nodal values of a polynomial of degree <= n
     it returns the exact nodal derivatives; its (n+1)-th power vanishes.
 
-    Raises ``ValueError`` when the pi-weights leave the float64 range and an
-    entry comes out infinite or NaN (e.g. 1001 uniform nodes on [-1, 1]).
+    Raises ``ValueError`` when an entry comes out infinite or NaN (e.g. 1001 uniform nodes
+    on [-1, 1]), or when max|pi_j| / min|pi_k| * eps, about Z's error on smooth data,
+    exceeds 1 (57 uniform nodes).
 
     The store on ``p`` builds it once and keeps it, read-only, from first use, so
     later calls return the same array.  A failure is not stored, so it repeats.
@@ -39,20 +40,26 @@ def diff_matrix(p: Partition) -> np.ndarray:
 def _diff_matrices(nodes: np.ndarray) -> np.ndarray:
     """The :func:`diff_matrix` of each row of a ``(B, m)`` node stack, as ``(B, m, m)``: the
     one formula for Z and its pi-weights.  A row's matrix is the same, bit for bit, whatever
-    rows share its stack.  The rows must pass the checks of :class:`Partition`."""
+    rows share its stack; one failing row fails the stack.  The rows must pass the checks
+    of :class:`Partition`."""
     m = nodes.shape[-1]
     with np.errstate(all="ignore"):
         diff = nodes[:, :, None] - nodes[:, None, :]
         # 1 on the diagonal: the factor pi_j omits, and a divisor for Z's placeholder diagonal
         diff.reshape(-1, m * m)[:, ::m + 1] = 1.0
         pi = diff.prod(axis=-1)
-        z = (pi[:, :, None] / pi[:, None, :]) / diff
+        ratios = pi[:, :, None] / pi[:, None, :]
+        z = ratios / diff
+        spread = np.abs(ratios, out=ratios).max()  # max|pi_j| / min|pi_k| over every row
         inverse = np.divide(1.0, diff, out=diff)
         inverse.reshape(-1, m * m)[:, ::m + 1] = 0.0
         z.reshape(-1, m * m)[:, ::m + 1] = inverse.sum(axis=-1)
     if not np.all(np.isfinite(z)):
         raise ValueError(f"differentiation matrix of {m} nodes is not finite: "
                          "the pi-weights overflow or underflow float64")
+    if spread * np.finfo(float).eps > 1.0:
+        raise ValueError(f"differentiation matrix of {m} nodes is ill-conditioned: the "
+                         f"pi-weights spread by {spread:.1e}, beyond 1/eps of float64")
     return z
 
 

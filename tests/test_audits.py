@@ -25,7 +25,7 @@ from liealg.audits import (
     reports_to_csv,
 )
 from liealg.lifting import poly_operator_matrix
-from liealg.linalg import _norm_inf, numerical_rank
+from liealg.linalg import numerical_rank
 from liealg.operators import diff_matrix
 from liealg.partitions import Partition, jittered_partition, uniform_partition
 
@@ -67,7 +67,7 @@ def reference_rank_ladder(h, rel_tol, prefix):
 
 def poly_floor(b, coeffs, k, rel_tol):
     """rel_tol * norm(B)^k * sum_j |a_j| norm(B)^j: the bound on the polynomial's norm, scaled."""
-    scale = _norm_inf(b)
+    scale = float(np.linalg.matrix_norm(b, ord=np.inf))
     return rel_tol * scale ** k * sum(abs(a) * scale ** j for j, a in enumerate(coeffs))
 
 
@@ -105,7 +105,7 @@ def reference_poly_ranks(cases, rel_tol):
         poly = np.zeros_like(b)
         for j, c in enumerate(coeffs):
             poly += c * chain[k + j]
-        scale = _norm_inf(b)
+        scale = float(np.linalg.matrix_norm(b, ord=np.inf))
         matrices += [chain[dim], chain[k], poly]
         floors += [NILPOTENCY_TOL * scale ** dim, rel_tol * scale ** k,
                    poly_floor(b, coeffs, k, rel_tol)]

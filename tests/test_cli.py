@@ -90,6 +90,17 @@ class TestDiffmat:
         assert status == 1 and out == ""
         assert err.startswith("liealg: differentiation matrix of 1001 nodes is not finite")
 
+    def test_ill_conditioned_nodes_are_an_error(self, capsys):
+        # the pi-weights of 57 uniform nodes spread beyond 1/eps; those of 56 do not
+        nodes = ",".join(map(repr, np.linspace(-1.0, 1.0, 57).tolist()))
+        status, out, err = run_cli(capsys, "diffmat", f"--nodes={nodes}")
+        assert status == 1 and out == ""
+        assert err.startswith("liealg: differentiation matrix of 57 nodes is ill-conditioned")
+        assert err.count("\n") == 1
+        nodes = ",".join(map(repr, np.linspace(-1.0, 1.0, 56).tolist()))
+        status, out, _ = run_cli(capsys, "diffmat", f"--nodes={nodes}")
+        assert status == 0 and len(out.splitlines()) == 56
+
     def test_uniform_flags(self, capsys):
         status, out, _ = run_cli(capsys, "diffmat", "--a", "0", "--b", "1", "--n", "1")
         assert status == 0

@@ -12,7 +12,6 @@ from liealg.linalg import (
     SingularSystemError,
     _format_rows,
     _kron,
-    _norm_inf,
     _powers,
     _substitute,
     as_matrix,
@@ -338,7 +337,8 @@ class TestLuApply:
         self.assert_same_bits(inv, reference_lu_apply(lu, piv, np.eye(a.shape[0])))
         solved, rcond = lu_solve(a, b)
         self.assert_same_bits(solved, x)
-        assert rcond == 1.0 / (_norm_inf(a) * _norm_inf(inv))
+        norm_a, norm_inv = np.linalg.matrix_norm(np.stack([a, inv]), ord=np.inf)
+        assert rcond == 1.0 / (norm_a * norm_inv)
 
     @pytest.mark.parametrize("n", [10, 15, 20])
     def test_hyperbolic_systems_match_reference_loop(self, n):
@@ -408,6 +408,19 @@ class TestLuSolve:
         with pytest.raises(SingularSystemError) as err:
             lu_solve(a, [1.0, 2.0])
         assert err.value.pivot_index == 1
+
+    def test_caller_error_state_and_buffer_size_are_restored(self, caller_bufsize):
+        # one np.errstate block covers the norm, the factors and the substitution
+        with np.errstate(over="raise", invalid="raise", divide="warn", under="ignore"):
+            caller = np.geterr()
+            lu_solve(np.diag([2.0, 4.0]), [2.0, 8.0])
+            assert np.geterr() == caller and np.getbufsize() == caller_bufsize
+            with pytest.raises(SingularSystemError):
+                lu_solve(np.zeros((2, 2)), [1.0, 1.0])
+            assert np.geterr() == caller and np.getbufsize() == caller_bufsize
+            with pytest.raises(ValueError, match="not finite"):
+                lu_solve(OVERFLOWING, [1.0, 2.0, 3.0, 4.0])
+            assert np.geterr() == caller and np.getbufsize() == caller_bufsize
 
     def test_shape_checks(self):
         with pytest.raises(ValueError, match="square"):

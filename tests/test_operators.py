@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from liealg.bvp import _hyperbolic_system
 from liealg.lifting import poly_operator_matrix
-from liealg.linalg import _kron, _norm_inf, numerical_rank
+from liealg.linalg import _kron, numerical_rank
 from liealg.operators import (
     _diff_matrices,
     _monomial,
@@ -171,6 +171,26 @@ class TestDiffMatrices:
         with pytest.raises(ValueError, match="1001 nodes is not finite"):
             _diff_matrices(rows)
 
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 1.0), (-1e3, 1e3)])
+    def test_spread_beyond_one_over_eps_raises(self, a, b):
+        # max|pi_j| / min|pi_k| * eps is 0.85 at 56 uniform nodes and 1.7 at 57, on any interval
+        assert np.isfinite(diff_matrix(uniform_partition(a, b, 55))).all()
+        for _ in range(2):  # a failure is not stored, so it repeats
+            with pytest.raises(ValueError, match="57 nodes is ill-conditioned"):
+                diff_matrix(uniform_partition(a, b, 56))
+
+    def test_one_tiny_gap_is_ill_conditioned(self):
+        # pi-weights of about 1e-200, -1e-200 and 1: Z is finite, with entries of 1e200
+        with pytest.raises(ValueError, match="3 nodes is ill-conditioned"):
+            diff_matrix(Partition(np.array([0.0, 1e-200, 1.0])))
+
+    def test_stack_with_one_ill_conditioned_row_raises(self):
+        rows = np.stack([chebyshev_row(56)[0], np.linspace(-1.0, 1.0, 57),
+                         chebyshev_lobatto_partition(56, 0.0, 3.0).nodes])
+        _diff_matrices(rows[::2])
+        with pytest.raises(ValueError, match="57 nodes is ill-conditioned"):
+            _diff_matrices(rows)
+
     def test_bytes_are_pinned(self):
         digest = hashlib.sha256()
         for stack in pinned_node_stacks():
@@ -189,7 +209,7 @@ class TestDiffMatrixProperties:
     @settings(max_examples=80, deadline=None)
     def test_annihilates_constants(self, p):
         z = diff_matrix(p)
-        assert np.abs(z @ np.ones(p.n + 1)).max() <= 1e-12 * _norm_inf(z)
+        assert np.abs(z @ np.ones(p.n + 1)).max() <= 1e-12 * np.linalg.matrix_norm(z, ord=np.inf)
 
     @given(p=partitions())
     @settings(max_examples=80, deadline=None)
@@ -199,7 +219,7 @@ class TestDiffMatrixProperties:
             v = x**j
             expected = j * x ** (j - 1) if j else np.zeros_like(x)
             residual = np.abs(z @ v - expected).max()
-            assert residual <= 1e-12 * _norm_inf(z) * np.abs(v).max(), j
+            assert residual <= 1e-12 * np.linalg.matrix_norm(z, ord=np.inf) * np.abs(v).max(), j
 
 
 def power(p, k):
@@ -254,9 +274,9 @@ class TestDiffPowerPerPartition:
         np.testing.assert_array_equal(power(first, 2), power(second, 2))
 
     def test_overflowing_power_raises_each_call_and_is_not_stored(self):
-        # Z has entries of 1e200, so Z^2 overflows float64: a ValueError, and no warning
+        # Z has entries of 2e160, so Z^2 overflows float64: a ValueError, and no warning
         # (the pytest configuration makes a RuntimeWarning an error) on any BLAS kernel
-        p = Partition(np.array([0.0, 1e-200, 1.0]))
+        p = Partition(np.array([0.0, 1e-160, 2e-160]))
         assert np.all(np.isfinite(diff_matrix(p)))
         for _ in range(2):
             with pytest.raises(ValueError, match="finite"):
@@ -354,9 +374,9 @@ class TestLiftedMonomialStore:
 
     @pytest.mark.parametrize("position", [0, 1])
     def test_overflowing_power_raises_each_call_and_is_not_stored(self, position):
-        # Z has entries of 1e200, so Z^2 overflows float64: a ValueError, and no warning
+        # Z has entries of 2e160, so Z^2 overflows float64: a ValueError, and no warning
         ps = [uniform_partition(0.0, 1.0, 2), uniform_partition(0.0, 1.0, 3)]
-        ps[position] = Partition(np.array([0.0, 1e-200, 1.0]))
+        ps[position] = Partition(np.array([0.0, 1e-160, 2e-160]))
         for _ in range(3):
             with pytest.raises(ValueError, match="finite"):
                 poly_operator_matrix([(1.0, (2, 2))], ps)
