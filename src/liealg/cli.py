@@ -18,7 +18,7 @@ from .partitions import Partition, read_partition, uniform_partition
 DEFAULT_N_2D = 15
 TABLE_HEADER = "method,n,E,Emax,Eavg,rcond"
 # a 2-D solve whose rcond is below machine epsilon is reported, and the
-# command exits with this status, since its errors are rounding noise
+# command exits with this status, since its Emax over all nodes is rounding
 SINGULAR_RCOND = float(np.finfo(float).eps)
 SINGULAR_STATUS = 3
 
@@ -174,9 +174,11 @@ def _solve_2d(n1: int, n2: int) -> tuple[bvp.BvpReport, int]:
     """2-D solve plus its exit status; warns on stderr when numerically singular."""
     report = bvp.solve_hyperbolic(n1, n2)
     if report.rcond < SINGULAR_RCOND:
+        disk_max, disk_nodes = bvp._disk_error_max(report)
         print(f"liealg: warning: {n1}x{n2} operator is numerically singular "
-              f"(rcond {report.rcond:.4e} < {SINGULAR_RCOND:.4e}); its errors are "
-              "rounding noise", file=sys.stderr)
+              f"(rcond {report.rcond:.4e} < {SINGULAR_RCOND:.4e}); Emax "
+              f"{report.error_max:.4e} over all nodes, {disk_max:.4e} over the "
+              f"{disk_nodes} nodes inside the unit disk", file=sys.stderr)
         return report, SINGULAR_STATUS
     return report, 0
 

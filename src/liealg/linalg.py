@@ -92,12 +92,18 @@ def _powers(m: np.ndarray, top: int) -> np.ndarray:
 _ELIMINATION_BUFSIZE = 256
 
 
-def lu_factor(a):
+def lu_factor(a, overwrite_a: bool = False):
     """LU factorization with partial pivoting, packed in a single array.
 
     Returns ``(lu, piv)`` where ``piv`` is the row permutation applied to the
     input.  Raises :class:`SingularSystemError` when the best available pivot
     is exactly zero.
+
+    With ``overwrite_a=True`` the factors are written into the float array that
+    :func:`as_matrix` makes of ``a``, if it is writable and C-contiguous (the
+    flat subtract needs one buffer), and ``lu`` is that array; otherwise, and by
+    default, they go into a copy and ``a`` is left intact.  The factors are the
+    same either way.
 
     Step ``k`` subtracts its rank-1 update from rows ``k+1..n-1`` as one flat
     subtract, as a strided block costs NumPy more.  ``update`` holds the
@@ -113,7 +119,9 @@ def lu_factor(a):
     Factors that overflow come back holding infinities or NaN, with no NumPy
     warning; :func:`lu_solve` rejects them.
     """
-    lu = as_matrix(a).copy()
+    lu = as_matrix(a)
+    if not (overwrite_a and lu.flags.writeable and lu.flags.c_contiguous):
+        lu = lu.copy()
     n, m = lu.shape
     if n != m:
         raise ValueError(f"square matrix required, got shape {lu.shape}")
@@ -162,7 +170,7 @@ def _substitute(lu: np.ndarray, piv: np.ndarray, b: np.ndarray):
     return x, inv
 
 
-def lu_solve(a, b):
+def lu_solve(a, b, overwrite_a: bool = False):
     """Solve ``a x = b`` by partially pivoted LU.
 
     Returns ``(x, rcond)`` where ``rcond = 1 / (norm_inf(a) * norm_inf(a^-1))``
@@ -171,8 +179,10 @@ def lu_solve(a, b):
     overflows to a non-finite ``x`` or a NaN ``rcond`` raises ``ValueError``; an
     infinite inverse with a finite ``x`` gives ``rcond = 0.0``.
 
-    Besides ``a``, a solve holds at most two N x N arrays at a time: the factors,
-    and the elimination's update buffer or the inverse.
+    Besides its input, a solve holds at most two N x N arrays at a time: the
+    factors, and the elimination's update buffer or the inverse.  With
+    ``overwrite_a=True`` the factors may take the place of ``a``, as in
+    :func:`lu_factor`, after ``norm_inf(a)`` is taken.
     """
     a = as_matrix(a)
     b = as_vector(b)
@@ -180,7 +190,7 @@ def lu_solve(a, b):
         raise ValueError(f"right-hand side length {b.shape[0]} != matrix dimension {a.shape[0]}")
     with np.errstate(all="ignore"):  # |a| is freed before the factors are made
         norm_a = float(np.linalg.matrix_norm(a, ord=np.inf))
-        lu, piv = lu_factor(a)
+        lu, piv = lu_factor(a, overwrite_a=overwrite_a)
         x, inv = _substitute(lu, piv, b)
         norm_inv = float(np.abs(inv, out=inv).sum(axis=-1).max())  # |inv| in place
         rcond = 0.0 if norm_inv == 0.0 else 1.0 / (norm_a * norm_inv)

@@ -4,12 +4,14 @@ import tracemalloc
 from itertools import product
 
 import numpy as np
+import numpy.polynomial.polynomial as npoly
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liealg import bvp
 from liealg.bvp import (
+    TWO_POINT_LEFT,
     _hyperbolic_system,
     two_point_coefficients,
     error_metrics,
@@ -73,6 +75,18 @@ class TestCoefficients:
             assert abs(q - 2.0 * dp(x)) <= 1e-12
             assert abs(r - (d2p(x) + p)) <= 1e-12
             assert abs(s - (-(2.0 - 2.0 * x / math.pi))) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [TWO_POINT_LEFT, 0.0])
+def test_coefficients_are_numpy_polyval_bit_for_bit(a):
+    # the private Horner loop stands in for numpy.polynomial, which the package does not import
+    for n in range(2, 21):
+        x = uniform_partition(a, math.pi / 2.0, n).nodes
+        for got, c in zip(two_point_coefficients(x), (bvp._P_COEFFS, bvp._Q_COEFFS,
+                                                      bvp._R_COEFFS, bvp._S_COEFFS)):
+            expected = npoly.polyval(x, c)
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestSolveTwoPoint:
@@ -188,6 +202,17 @@ class TestSolveHyperbolic:
         for i, j in ((0, 5), (10, 5), (5, 0), (5, 10)):
             assert abs(report.u_sigma[j * 11 + i]) <= 1e-12
 
+    @pytest.mark.parametrize("n1, n2", [(4, 4), (10, 10), (12, 7), (20, 20)])
+    def test_disk_error_is_emax_over_the_nodes_inside_the_disk(self, n1, n2):
+        report = solve_hyperbolic(n1, n2)
+        px, py = report.partitions
+        errors = [abs(report.u_sigma[j * (px.n + 1) + i] - math.sin(1.0 - x * x - y * y))
+                  for j, y in enumerate(py.nodes.tolist())
+                  for i, x in enumerate(px.nodes.tolist()) if 1.0 - x * x - y * y >= 0.0]
+        disk_max, disk_nodes = bvp._disk_error_max(report)
+        assert disk_nodes == len(errors)
+        assert disk_max == pytest.approx(max(errors), rel=1e-9)
+
     def test_reference_errors_coarse_grid(self):
         report = solve_hyperbolic(10, 10)
         assert report.error_max == pytest.approx(0.0064, rel=0.2)
@@ -255,13 +280,16 @@ def traced_peak(f, *args):
 @pytest.mark.parametrize("n", [15, 20])
 def test_solve_peak_memory_in_n_squared_doubles(n):
     # the assembly holds K and one scratch array; the solve holds the factors and the
-    # update buffer or the inverse; a fresh array per term peaked above 5 N^2 doubles
+    # update buffer or the inverse; a fresh array per term peaked above 5 N^2 doubles.
+    # Factored in place, K is the factors, so the whole solve holds two N x N arrays
     unit = 8 * ((n + 1) ** 2) ** 2
     ps = [uniform_partition(-1.0, 1.0, n) for _ in range(2)]
     assert traced_peak(_hyperbolic_system, ps) <= 2.5 * unit
     k, _ = _hyperbolic_system(ps)
-    assert traced_peak(lu_solve, k, grid_eval(hyperbolic_rhs, ps)) <= 2.25 * unit
-    assert traced_peak(solve_hyperbolic, n, n) <= 3.5 * unit
+    rhs = grid_eval(hyperbolic_rhs, ps)
+    assert traced_peak(lu_solve, k, rhs) <= 2.25 * unit
+    assert traced_peak(lambda: lu_solve(k, rhs, overwrite_a=True)) <= 1.25 * unit
+    assert traced_peak(solve_hyperbolic, n, n) <= 2.5 * unit
 
 
 class TestErrorMetrics:

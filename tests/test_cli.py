@@ -129,6 +129,16 @@ class TestDiffmat:
         assert child.returncode == 0, child.stderr
         assert child.stdout == (DATA / "diffmat_n20.txt").read_bytes()
 
+    def test_import_leaves_out_numpy_polynomial(self):
+        # its import costs about 0.7 MB of RSS; the 1-D coefficients need only Horner's rule
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import sys, liealg.cli; print('numpy.polynomial' in sys.modules)"
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "False\n"
+
     def test_jittered_output_matches_golden_file(self):
         # Z on unequal spacings: 13 jittered nodes given as a repr-formatted comma list
         nodes = ",".join(map(repr, _jittered_nodes(np.random.default_rng(12), 12).tolist()))
@@ -227,6 +237,11 @@ class TestSingular2DSolve:
         assert "warning" in lines[0] and "20x20" in lines[0]
         assert f"rcond {report.rcond:.4e}" in lines[0]
         assert parse_csv(out)[0]["rcond"] == f"{report.rcond:.4e}"
+        # the error is made outside the unit disk: 5.2e-6 inside it, 1.9e2 over all nodes
+        disk_max, disk_nodes = bvp._disk_error_max(report)
+        assert disk_nodes == 309 and disk_max < 1e-5
+        assert lines[0].endswith(f"Emax {report.error_max:.4e} over all nodes, {disk_max:.4e} "
+                                 "over the 309 nodes inside the unit disk")
 
     def test_plot_figure1_warns_and_exits_3(self, capsys):
         status, out, err = run_cli(capsys, "plot-figure1", "--n1", "20", "--n2", "20")

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liealg.audits import default_suite
-from liealg.bvp import _hyperbolic_system, solve_hyperbolic, two_point_coefficients
-from liealg.lifting import poly_operator_matrix
+from liealg.bvp import _hyperbolic_system, hyperbolic_rhs, solve_hyperbolic, two_point_coefficients
+from liealg.lifting import grid_eval, poly_operator_matrix
 from liealg.linalg import (
     SingularSystemError,
     _format_rows,
@@ -305,6 +305,79 @@ class TestLuFactor:
         self.assert_same_factors(OVERFLOWING)
         for a in signed_zero_matrices():
             self.assert_same_factors(a)
+
+
+def factor_in_place(a):
+    return lu_factor(a, overwrite_a=True)
+
+
+class TestOverwrite:
+    """``overwrite_a=True`` writes the copying path's factors into the caller's array."""
+
+    def assert_same_factors_in_place(self, a):
+        expected = factor_or_breakdown(lu_factor, a)
+        work = a.copy()
+        got = factor_or_breakdown(factor_in_place, work)
+        if isinstance(expected, int):
+            assert got == expected
+            return
+        (lu, piv), (ref_lu, ref_piv) = got, expected
+        assert np.shares_memory(lu, work)
+        np.testing.assert_array_equal(lu, ref_lu)
+        np.testing.assert_array_equal(np.signbit(lu), np.signbit(ref_lu))
+        np.testing.assert_array_equal(piv, ref_piv)
+
+    @pytest.mark.parametrize("n", [10, 15, 20])
+    def test_hyperbolic_operators(self, n):
+        k, _ = _hyperbolic_system([uniform_partition(-1.0, 1.0, n)] * 2)
+        self.assert_same_factors_in_place(k)
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_two_point_operators(self, n):
+        self.assert_same_factors_in_place(two_point_system(n)[0])
+
+    def test_signed_zeros_and_overflow(self):
+        for a in signed_zero_matrices():
+            self.assert_same_factors_in_place(a)
+        self.assert_same_factors_in_place(OVERFLOWING)
+
+    @pytest.mark.parametrize("kind", ["transposed", "fortran", "read-only", "int"])
+    def test_unusable_input_gets_a_copy(self, kind):
+        base = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 1.0], [0.0, 5.0, 6.0]])
+        if kind == "transposed":
+            a = base.T
+        elif kind == "fortran":
+            a = np.asfortranarray(base)
+        elif kind == "read-only":
+            a = base.copy()
+            a.flags.writeable = False
+        else:
+            a = base.astype(int)
+        before = a.copy()
+        lu, piv = lu_factor(a, overwrite_a=True)
+        assert not np.shares_memory(lu, a)
+        np.testing.assert_array_equal(a, before)
+        ref_lu, ref_piv = lu_factor(a)
+        np.testing.assert_array_equal(lu, ref_lu)
+        np.testing.assert_array_equal(piv, ref_piv)
+
+    def assert_same_solve_in_place(self, a, b):
+        x, rcond = lu_solve(a, b)
+        factors = lu_factor(a)[0]
+        got_x, got_rcond = lu_solve(a, b, overwrite_a=True)  # norm_inf(a) comes first
+        np.testing.assert_array_equal(got_x, x)
+        np.testing.assert_array_equal(np.signbit(got_x), np.signbit(x))
+        assert got_rcond == rcond
+        assert a.tobytes() == factors.tobytes()  # a now holds the factors
+
+    @pytest.mark.parametrize("n", [10, 15, 20])
+    def test_hyperbolic_solves(self, n):
+        ps = [uniform_partition(-1.0, 1.0, n)] * 2
+        self.assert_same_solve_in_place(_hyperbolic_system(ps)[0], grid_eval(hyperbolic_rhs, ps))
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 16])
+    def test_two_point_solves(self, n):
+        self.assert_same_solve_in_place(*two_point_system(n))
 
 
 def reference_lu_apply(lu, piv, b):
