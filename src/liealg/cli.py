@@ -42,12 +42,93 @@ class RunConfig:
     seed: int = 42
 
 
+def _resolve_dims(config: RunConfig) -> tuple[int, int]:
+    # a missing size copies the other; a validated size is at least MIN_N_2D, never 0
+    return config.n1 or config.n2 or DEFAULT_N_2D, config.n2 or config.n1 or DEFAULT_N_2D
+
+
+def _partition_from_config(config: RunConfig) -> Partition:
+    nodes = config.nodes
+    if nodes and os.path.exists(nodes) and "," not in nodes:
+        try:
+            return read_partition(nodes)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"bad node file {nodes}: {exc}") from exc
+    if not nodes and config.n is None:
+        raise ConfigError("diffmat needs --nodes or --a/--b/--n")
+    try:
+        values = [float(v) for v in nodes.split(",")] if nodes else None
+    except ValueError as exc:
+        raise ConfigError(f"bad node list {nodes!r}") from exc
+    try:
+        return (Partition(np.array(values)) if nodes
+                else uniform_partition(config.a, config.b, config.n))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _table_row(method: str, label: str, report: bvp.BvpReport) -> str:
+    return (f"{method},{label},{report.error_sum:.4e},{report.error_max:.4e},"
+            f"{report.error_avg:.4e},{report.rcond:.4e}")
+
+
+def _solve_2d(n1: int, n2: int) -> tuple[bvp.BvpReport, int]:
+    """2-D solve plus its exit status; warns on stderr when numerically singular."""
+    report = bvp.solve_hyperbolic(n1, n2)
+    if report.rcond < SINGULAR_RCOND:
+        disk_max, disk_nodes = bvp._disk_error_max(report)
+        print(f"liealg: warning: {n1}x{n2} operator is numerically singular "
+              f"(rcond {report.rcond:.4e} < {SINGULAR_RCOND:.4e}); Emax "
+              f"{report.error_max:.4e} over all nodes, {disk_max:.4e} over the "
+              f"{disk_nodes} nodes inside the unit disk", file=sys.stderr)
+        return report, SINGULAR_STATUS
+    return report, 0
+
+
+def _diffmat(config: RunConfig) -> tuple[int, str]:
+    return 0, format_matrix(diff_matrix(_partition_from_config(config))) + "\n"
+
+
+def _rank_audit(config: RunConfig) -> tuple[int, str]:
+    reports = audits.default_suite(seed=config.seed, rel_tol=config.rel_tol)
+    status = 0 if all(r.passed for r in reports) else 1
+    return status, audits.reports_to_csv(reports)
+
+
+def _table1(config: RunConfig) -> tuple[int, str]:
+    lines = [TABLE_HEADER]
+    for n in (4, 8, 12, 16):
+        lines.append(_table_row(
+            "lie", str(n), bvp.solve_two_point(n, config.include_zero_endpoint)))
+    for n in (4, 8, 12, 16):
+        lines.append(_table_row("shooting", str(n), bvp.shooting_two_point(n)))
+    return 0, "\n".join(lines) + "\n"
+
+
+def _table3(config: RunConfig) -> tuple[int, str]:
+    cases = [_resolve_dims(config)] if config.n1 or config.n2 else [(10, 10), (15, 15)]
+    lines = [TABLE_HEADER]
+    status = 0
+    for n1, n2 in cases:
+        report, case_status = _solve_2d(n1, n2)
+        status = max(status, case_status)
+        lines.append(_table_row("lie", f"{n1}x{n2}", report))
+    return status, "\n".join(lines) + "\n"
+
+
+def _plot_figure1(config: RunConfig) -> tuple[int, str]:
+    report, status = _solve_2d(*_resolve_dims(config))
+    return status, bvp.format_surface(report)
+
+
+# each command's (help, handler): a handler maps a validated RunConfig to (exit status,
+# output text) and looks its public callees up at call time, where tracing patches them
 COMMANDS = {
-    "diffmat": "dump the differentiation matrix of a partition",
-    "rank-audit": "run the rank/nilpotency audit suite (CSV)",
-    "table1": "1-D experiment errors, collocation vs shooting (CSV)",
-    "table3": "2-D experiment errors (CSV)",
-    "plot-figure1": "2-D solution surface as gridded x y u data",
+    "diffmat": ("dump the differentiation matrix of a partition", _diffmat),
+    "rank-audit": ("run the rank/nilpotency audit suite (CSV)", _rank_audit),
+    "table1": ("1-D experiment errors, collocation vs shooting (CSV)", _table1),
+    "table3": ("2-D experiment errors (CSV)", _table3),
+    "plot-figure1": ("2-D solution surface as gridded x y u data", _plot_figure1),
 }
 _GRID_SIZE = (f"{MIN_N_2D}..{MAX_N}; a missing size copies the other (default: {DEFAULT_N_2D}; "
               "table3 without either runs its two reference grids)")
@@ -105,7 +186,7 @@ def build_config(argv: list[str] | None) -> RunConfig:
         prog="liealg",
         description="Matrix representations of differential operators: dumps, audits, experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, command_help in COMMANDS.items():
+    for command, (command_help, _) in COMMANDS.items():
         p = sub.add_parser(command, help=command_help)
         for key, (kind, commands, flag_help) in SETTINGS.items():
             if command in commands:
@@ -140,49 +221,6 @@ def _validate(config: RunConfig) -> None:
             raise ConfigError(f"{key} must lie in {low}..{MAX_N}, got {value}")
 
 
-def _resolve_dims(config: RunConfig) -> tuple[int, int]:
-    # a missing size copies the other; a validated size is at least MIN_N_2D, never 0
-    return config.n1 or config.n2 or DEFAULT_N_2D, config.n2 or config.n1 or DEFAULT_N_2D
-
-
-def _partition_from_config(config: RunConfig) -> Partition:
-    nodes = config.nodes
-    if nodes and os.path.exists(nodes) and "," not in nodes:
-        try:
-            return read_partition(nodes)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad node file {nodes}: {exc}") from exc
-    if not nodes and config.n is None:
-        raise ConfigError("diffmat needs --nodes or --a/--b/--n")
-    try:
-        values = [float(v) for v in nodes.split(",")] if nodes else None
-    except ValueError as exc:
-        raise ConfigError(f"bad node list {nodes!r}") from exc
-    try:
-        return (Partition(np.array(values)) if nodes
-                else uniform_partition(config.a, config.b, config.n))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _table_row(method: str, label: str, report: bvp.BvpReport) -> str:
-    return (f"{method},{label},{report.error_sum:.4e},{report.error_max:.4e},"
-            f"{report.error_avg:.4e},{report.rcond:.4e}")
-
-
-def _solve_2d(n1: int, n2: int) -> tuple[bvp.BvpReport, int]:
-    """2-D solve plus its exit status; warns on stderr when numerically singular."""
-    report = bvp.solve_hyperbolic(n1, n2)
-    if report.rcond < SINGULAR_RCOND:
-        disk_max, disk_nodes = bvp._disk_error_max(report)
-        print(f"liealg: warning: {n1}x{n2} operator is numerically singular "
-              f"(rcond {report.rcond:.4e} < {SINGULAR_RCOND:.4e}); Emax "
-              f"{report.error_max:.4e} over all nodes, {disk_max:.4e} over the "
-              f"{disk_nodes} nodes inside the unit disk", file=sys.stderr)
-        return report, SINGULAR_STATUS
-    return report, 0
-
-
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute one command; returns (exit status, output text).
 
@@ -191,36 +229,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     :func:`build_config` would refuse raises :class:`ConfigError`.
     """
     _validate(config)
-    if config.command == "diffmat":
-        return 0, format_matrix(diff_matrix(_partition_from_config(config))) + "\n"
-
-    if config.command == "rank-audit":
-        reports = audits.default_suite(seed=config.seed, rel_tol=config.rel_tol)
-        status = 0 if all(r.passed for r in reports) else 1
-        return status, audits.reports_to_csv(reports)
-
-    if config.command == "table1":
-        lines = [TABLE_HEADER]
-        for n in (4, 8, 12, 16):
-            lines.append(_table_row(
-                "lie", str(n), bvp.solve_two_point(n, config.include_zero_endpoint)))
-        for n in (4, 8, 12, 16):
-            lines.append(_table_row("shooting", str(n), bvp.shooting_two_point(n)))
-        return 0, "\n".join(lines) + "\n"
-
-    if config.command == "table3":
-        cases = [_resolve_dims(config)] if config.n1 or config.n2 else [(10, 10), (15, 15)]
-        lines = [TABLE_HEADER]
-        status = 0
-        for n1, n2 in cases:
-            report, case_status = _solve_2d(n1, n2)
-            status = max(status, case_status)
-            lines.append(_table_row("lie", f"{n1}x{n2}", report))
-        return status, "\n".join(lines) + "\n"
-
-    # plot-figure1, the one command left
-    report, status = _solve_2d(*_resolve_dims(config))
-    return status, bvp.format_surface(report)
+    return COMMANDS[config.command][1](config)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,6 +14,9 @@ __all__ = [
     "diff_matrix",
 ]
 
+# refuse Z once max|pi_j| / min|pi_k| * eps, about its error on smooth data, passes this
+MAX_PREDICTED_ERROR = 1e-4
+
 
 def diff_matrix(p: Partition) -> np.ndarray:
     """Differentiation matrix of the partition: entry (j, k) is dl_k/dx(x_j).
@@ -29,7 +32,7 @@ def diff_matrix(p: Partition) -> np.ndarray:
 
     Raises ``ValueError`` when an entry comes out infinite or NaN (e.g. 1001 uniform nodes
     on [-1, 1]), or when max|pi_j| / min|pi_k| * eps, about Z's error on smooth data,
-    exceeds 1 (57 uniform nodes).
+    exceeds ``MAX_PREDICTED_ERROR`` (43 uniform nodes on any interval).
 
     The store on ``p`` builds it once and keeps it, read-only, from first use, so
     later calls return the same array.  A failure is not stored, so it repeats.
@@ -57,9 +60,11 @@ def _diff_matrices(nodes: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError(f"differentiation matrix of {m} nodes is not finite: "
                          "the pi-weights overflow or underflow float64")
-    if spread * np.finfo(float).eps > 1.0:
+    predicted = spread * np.finfo(float).eps
+    if predicted > MAX_PREDICTED_ERROR:
         raise ValueError(f"differentiation matrix of {m} nodes is ill-conditioned: the "
-                         f"pi-weights spread by {spread:.1e}, beyond 1/eps of float64")
+                         f"pi-weights spread by {spread:.1e}, so its error is about "
+                         f"{predicted:.1e}, beyond {MAX_PREDICTED_ERROR:.0e}")
     return z
 
 

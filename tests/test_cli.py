@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import re
 import subprocess
@@ -91,15 +92,15 @@ class TestDiffmat:
         assert err.startswith("liealg: differentiation matrix of 1001 nodes is not finite")
 
     def test_ill_conditioned_nodes_are_an_error(self, capsys):
-        # the pi-weights of 57 uniform nodes spread beyond 1/eps; those of 56 do not
-        nodes = ",".join(map(repr, np.linspace(-1.0, 1.0, 57).tolist()))
+        # the predicted error of Z on 43 uniform nodes passes 1e-4; that on 42 does not
+        nodes = ",".join(map(repr, np.linspace(-1.0, 1.0, 43).tolist()))
         status, out, err = run_cli(capsys, "diffmat", f"--nodes={nodes}")
         assert status == 1 and out == ""
-        assert err.startswith("liealg: differentiation matrix of 57 nodes is ill-conditioned")
+        assert err.startswith("liealg: differentiation matrix of 43 nodes is ill-conditioned")
         assert err.count("\n") == 1
-        nodes = ",".join(map(repr, np.linspace(-1.0, 1.0, 56).tolist()))
+        nodes = ",".join(map(repr, np.linspace(-1.0, 1.0, 42).tolist()))
         status, out, _ = run_cli(capsys, "diffmat", f"--nodes={nodes}")
-        assert status == 0 and len(out.splitlines()) == 56
+        assert status == 0 and len(out.splitlines()) == 42
 
     def test_uniform_flags(self, capsys):
         status, out, _ = run_cli(capsys, "diffmat", "--a", "0", "--b", "1", "--n", "1")
@@ -419,6 +420,18 @@ class TestConfigFile:
         status, _, err = run_cli(capsys, "table3", "--config", str(cfg))
         assert status == 2 and "n2 must lie in 4..20" in err
 
+    @pytest.mark.parametrize("command, setting, message", [
+        ("table1", "n=50", "liealg: n must lie in 1..20, got 50\n"),
+        ("rank-audit", "n1=3", "liealg: n1 must lie in 4..20, got 3\n"),
+    ])
+    def test_every_setting_is_checked_whatever_the_command(self, capsys, tmp_path, command,
+                                                            setting, message):
+        # a --config file may set a size that the command does not read; it is still checked
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        status, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert status == 2 and out == "" and err == message
+
     def test_diffmat_keeps_one_to_twenty(self, capsys):
         assert run_cli(capsys, "diffmat", "--n", "1")[0] == 0
         status, _, err = run_cli(capsys, "diffmat", "--n", "0")
@@ -523,5 +536,25 @@ class TestCommandTables:
             main(["--help"])
         assert exit_info.value.code == 0
         out = capsys.readouterr().out
-        for command, help_text in COMMANDS.items():
+        for command, (help_text, _) in COMMANDS.items():
             assert re.search(rf"^ +{command} +{re.escape(help_text)}$", out, re.M)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_each_row_is_help_and_private_handler(self, command):
+        help_text, handler = COMMANDS[command]
+        assert isinstance(help_text, str) and help_text
+        assert inspect.isfunction(handler) and handler.__module__ == "liealg.cli"
+        assert handler.__name__.startswith("_") and getattr(cli, handler.__name__) is handler
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_run_returns_what_the_row_handler_returns(self, monkeypatch, command):
+        calls = []
+        result = (5, f"{command} output")
+
+        def handler(config):
+            calls.append(config)
+            return result
+
+        monkeypatch.setitem(COMMANDS, command, (COMMANDS[command][0], handler))
+        config = RunConfig(command)
+        assert run(config) is result and calls == [config]

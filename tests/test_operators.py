@@ -172,12 +172,28 @@ class TestDiffMatrices:
             _diff_matrices(rows)
 
     @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 1.0), (-1e3, 1e3)])
-    def test_spread_beyond_one_over_eps_raises(self, a, b):
-        # max|pi_j| / min|pi_k| * eps is 0.85 at 56 uniform nodes and 1.7 at 57, on any interval
-        assert np.isfinite(diff_matrix(uniform_partition(a, b, 55))).all()
+    def test_predicted_error_beyond_bound_raises(self, a, b):
+        # max|pi_j| / min|pi_k| * eps is 6.0e-5 at 42 uniform nodes and 1.2e-4 at 43, on any
+        # interval, against MAX_PREDICTED_ERROR = 1e-4
+        assert np.isfinite(diff_matrix(uniform_partition(a, b, 41))).all()
         for _ in range(2):  # a failure is not stored, so it repeats
-            with pytest.raises(ValueError, match="57 nodes is ill-conditioned"):
-                diff_matrix(uniform_partition(a, b, 56))
+            with pytest.raises(ValueError, match="43 nodes is ill-conditioned"):
+                diff_matrix(uniform_partition(a, b, 42))
+
+    def test_uniform_nodes_give_an_accurate_z_or_an_error(self):
+        # from 16 nodes on, sin's own interpolation error is below 1e-12, so the rest is
+        # rounding; the absolute bound holds on [-1, 1] only (on [0, 1], 41 nodes exceed it)
+        inaccurate = []
+        for m in range(16, 201):
+            p = uniform_partition(-1.0, 1.0, m - 1)
+            try:
+                z = diff_matrix(p)
+            except ValueError:
+                continue
+            error = np.abs(z @ np.sin(p.nodes) - np.cos(p.nodes)).max()
+            if not error <= 1e-4:
+                inaccurate.append((m, error))
+        assert inaccurate == []
 
     def test_one_tiny_gap_is_ill_conditioned(self):
         # pi-weights of about 1e-200, -1e-200 and 1: Z is finite, with entries of 1e200
