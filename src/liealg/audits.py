@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
+from operator import index
 
 import numpy as np
 from numpy.linalg import matrix_norm
@@ -45,12 +46,13 @@ class AuditReport:
     tolerance: float
 
     def __post_init__(self):
-        # normalize numpy scalars so formatting and equality are plain Python
+        # normalize numpy scalars so formatting and equality are plain Python; index, not
+        # int, so that 3.7 or "3" is refused, never truncated or parsed
         for field in ("expected", "observed"):
             value = getattr(self, field)
             if type(value) is not int and type(value) is not bool:
                 object.__setattr__(self, field, bool(value) if isinstance(
-                    value, np.bool_) else int(value))
+                    value, np.bool_) else index(value))
 
     @property
     def passed(self) -> bool:
@@ -132,12 +134,15 @@ def audit_rank_ladder(h, rel_tol: float = 1e-8, prefix: str = "rank_ladder") -> 
 
 
 def audit_nilpotent_poly_rank(b, coeffs, k: int, rel_tol: float = 1e-8) -> AuditReport:
-    """Check rank(a_k B^k + ... + a_m B^m) == rank B^k for nilpotent B."""
+    """Check rank(a_k B^k + ... + a_m B^m) == rank B^k for nilpotent B and an integer k >= 0."""
+    k = index(k)
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
     b = as_matrix(b)
     dim = b.shape[0]
     if b.shape[1] != dim:
         raise ValueError("nilpotent input must be square")
-    coeffs = _as_real(coeffs)
+    coeffs = _as_real(coeffs, "coefficients")
     if coeffs.ndim != 1 or coeffs.size == 0:
         raise ValueError("need at least the coefficient a_k")
     if coeffs[0] == 0.0:
@@ -188,7 +193,7 @@ def counterexample_det(a, b):
     Scalars give a ``float``; arrays (broadcast together) give one
     determinant per entry, from one stacked ``det``.
     """
-    a, b = np.broadcast_arrays(_as_real(a), _as_real(b))
+    a, b = np.broadcast_arrays(_as_real(a, "a"), _as_real(b, "b"))
     # entry (i, j) of diag(a, b) @ B is the single product d_i * B[i, j]
     scaled = np.stack([a, b], axis=-1)[..., :, None] * COUNTEREXAMPLE_MATRIX
     det = np.linalg.det(np.eye(2) + scaled)

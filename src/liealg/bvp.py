@@ -68,8 +68,8 @@ class BvpReport:
 
 def error_metrics(approx, exact) -> tuple[float, float, float]:
     """Sum, max, and mean of absolute componentwise differences."""
-    approx = _as_real(approx)
-    exact = _as_real(exact)
+    approx = _as_real(approx, "approximate values")
+    exact = _as_real(exact, "exact values")
     if approx.shape != exact.shape or approx.ndim != 1:
         raise ValueError(f"length mismatch: {approx.shape} vs {exact.shape}")
     err = np.abs(approx - exact)

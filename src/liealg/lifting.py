@@ -24,7 +24,7 @@ which the test suite checks against the Kronecker route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 from operator import index
 
 import numpy as np
@@ -105,7 +105,7 @@ def grid_eval(f, ps: list[Partition]) -> np.ndarray:
     accept arrays; a scalar result is broadcast to every node.
     """
     coords = _grid_coordinates(ps)
-    return np.broadcast_to(_as_real(f(*coords)), coords[0].shape).copy()
+    return np.broadcast_to(_as_real(f(*coords), "values of f"), coords[0].shape).copy()
 
 
 def poly_operator_matrix(terms, ps: list[Partition]) -> np.ndarray:
@@ -136,8 +136,8 @@ def full_rank_predicate(terms, ps: list[Partition]) -> bool:
     constant = 0.0
     for coeff, exponents in terms:
         exponents = _exponents(exponents, len(ps))
-        if not isinstance(coeff, float):
-            coeff = _as_real(coeff)
+        if not (isinstance(coeff, float) and isfinite(coeff)):
+            coeff = _as_real(coeff, "coefficients")
             if coeff.ndim:
                 raise ValueError("the full-rank predicate covers constant coefficients only, "
                                  f"got a coefficient of shape {coeff.shape}")

@@ -27,29 +27,29 @@ class SingularSystemError(RuntimeError):
         super().__init__(f"singular system: no usable pivot at step {pivot_index}")
 
 
-def _as_real(a) -> np.ndarray:
-    """``a`` as a float array; complex input is an error, never silently truncated."""
+def _as_real(a, what: str = "entries") -> np.ndarray:
+    """``a`` as a float array of finite entries, the one input check of the package: complex
+    input is an error, never silently truncated, and so is a NaN or an infinity."""
     if np.iscomplexobj(a):
-        raise ValueError("entries must be real, got complex input")
-    return np.asarray(a, dtype=float)
+        raise ValueError(f"{what} must be real, got complex input")
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
+    return a
 
 
 def as_matrix(a) -> np.ndarray:
     """Validate and return ``a`` as a 2-D float array with finite entries."""
-    m = _as_real(a)
+    m = _as_real(a, "matrix entries")
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix entries must be finite")
     return m
 
 
 def as_vector(a) -> np.ndarray:
-    m = _as_real(a)
+    m = _as_real(a, "vector entries")
     if m.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("vector entries must be finite")
     return m
 
 
@@ -208,16 +208,10 @@ def numerical_rank(a, rel_tol: float = 1e-8):
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    a = _as_real(a)
-    if a.ndim == 3:
-        if a.shape[1] < 1 or a.shape[2] < 1:
-            raise ValueError(f"expected a stack of matrices, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        stack = a
-    else:
-        stack = as_matrix(a)[None]
-    s = np.linalg.svd(stack, compute_uv=False)
+    a = _as_real(a, "matrix entries")
+    if a.ndim not in (2, 3) or a.shape[-2] < 1 or a.shape[-1] < 1:
+        raise ValueError(f"expected a 2-D matrix or a stack of matrices, got shape {a.shape}")
+    s = np.linalg.svd(a if a.ndim == 3 else a[None], compute_uv=False)
     # a zero matrix has s[0] == 0, so none of its singular values counts
     ranks = np.count_nonzero(s > rel_tol * s[:, :1], axis=1)
     return ranks if a.ndim == 3 else int(ranks[0])

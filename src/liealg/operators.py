@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import prod
+from math import isfinite, prod
 from operator import index
 
 import numpy as np
@@ -70,9 +70,9 @@ def _diff_matrices(nodes: np.ndarray) -> np.ndarray:
 
 def _scale_rows(coeff, m: np.ndarray) -> np.ndarray:
     """``diag(coeff) @ m`` for a vector coefficient, ``coeff * m`` for a real scalar."""
-    if isinstance(coeff, float):  # the common case, with no array round trip
+    if isinstance(coeff, float) and isfinite(coeff):  # the common case, with no array round trip
         return coeff * m
-    coeff = _as_real(coeff)
+    coeff = _as_real(coeff, "coefficients")
     if coeff.ndim == 0:
         return coeff * m
     if coeff.shape != (m.shape[0],):

@@ -32,7 +32,7 @@ class Partition:
     _monomials: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        nodes = _as_real(self.nodes).copy()
+        nodes = _as_real(self.nodes, "partition nodes").copy()
         _check_nodes(nodes)
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)

@@ -340,6 +340,18 @@ class TestNilpotentPolyRankAudit:
         with pytest.raises(ValueError, match="square"):
             audit_nilpotent_poly_rank(np.ones((2, 3)), [1.0], 0)
 
+    def test_k_is_a_non_negative_integer(self):
+        # a negative k would index the power chain from its end
+        b = diff_matrix(uniform_partition(0.0, 1.0, 4))
+        for k in (-1, -3):
+            with pytest.raises(ValueError, match=f"need k >= 0, got {k}"):
+                audit_nilpotent_poly_rank(b, [1.0, 0.5], k)
+        with pytest.raises(TypeError):
+            audit_nilpotent_poly_rank(b, [1.0, 0.5], 2.0)
+        for k in range(8):
+            assert (audit_nilpotent_poly_rank(b, [1.0, 0.5], np.int64(k))
+                    == reference_nilpotent_poly_rank(b, [1.0, 0.5], k, 1e-8))
+
 
 class TestCounterexample:
     def test_vanishes_on_critical_line(self):
@@ -483,6 +495,13 @@ class TestAuditReport:
         report = AuditReport("case", np.intp(2), np.int32(2), 1e-8)
         assert type(report.expected) is int and type(report.observed) is int
         assert report.passed is True
+
+    def test_non_integral_values_are_refused(self):
+        for value in (3.7, np.float64(2.9), "3"):
+            with pytest.raises(TypeError):
+                AuditReport("case", value, 3, 1e-8)
+            with pytest.raises(TypeError):
+                AuditReport("case", 3, value, 1e-8)
 
     def test_csv_prints_converted_values(self):
         reports = [AuditReport("a", np.int64(3), np.int64(3), 1e-8),

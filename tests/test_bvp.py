@@ -213,6 +213,15 @@ class TestSolveHyperbolic:
         assert disk_nodes == len(errors)
         assert disk_max == pytest.approx(max(errors), rel=1e-9)
 
+    # Emax inside the disk on n x n grids, 1 BLAS thread; the same to three digits under
+    # the SkylakeX, Haswell and Prescott OpenBLAS kernels.  From 14 x 14 on it is rounding
+    # error and moves with the kernel (2.6e-9 .. 2.3e-8 at 14), so those sizes are left out.
+    @pytest.mark.parametrize("n, measured", [
+        (4, 1.54e-3), (5, 8.88e-4), (6, 2.46e-4), (7, 1.22e-4), (8, 1.47e-5),
+        (9, 3.91e-6), (10, 3.15e-6), (11, 6.21e-7), (12, 3.51e-8), (13, 1.92e-8)])
+    def test_disk_error_is_discretization_error(self, n, measured):
+        assert bvp._disk_error_max(solve_hyperbolic(n, n))[0] < 2.0 * measured
+
     def test_reference_errors_coarse_grid(self):
         report = solve_hyperbolic(10, 10)
         assert report.error_max == pytest.approx(0.0064, rel=0.2)

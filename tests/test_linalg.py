@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liealg.audits import default_suite
-from liealg.bvp import _hyperbolic_system, hyperbolic_rhs, solve_hyperbolic, two_point_coefficients
-from liealg.lifting import grid_eval, poly_operator_matrix
+from liealg.audits import audit_nilpotent_poly_rank, counterexample_det, default_suite
+from liealg.bvp import (
+    _hyperbolic_system,
+    error_metrics,
+    hyperbolic_rhs,
+    solve_hyperbolic,
+    two_point_coefficients,
+)
+from liealg.lifting import full_rank_predicate, grid_eval, poly_operator_matrix
 from liealg.linalg import (
     SingularSystemError,
     _format_rows,
@@ -517,6 +523,46 @@ class TestLuSolve:
             bound = 1e-10 * (np.abs(a).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max())
             assert residual <= bound
             assert 0.0 < rcond <= 1.0
+
+
+P3 = [uniform_partition(0.0, 1.0, 3)]
+NON_FINITE_CALLS = {
+    "poly_operator_matrix, scalar": lambda v: poly_operator_matrix([(v, (1,))], P3),
+    "poly_operator_matrix, vector": lambda v: poly_operator_matrix(
+        [(np.array([1.0, v, 1.0, 1.0]), (1,))], P3),
+    "full_rank_predicate": lambda v: full_rank_predicate([(v, (0,))], P3),
+    "counterexample_det": lambda v: counterexample_det(v, 0.0),
+    "error_metrics": lambda v: error_metrics([v, 1.0], [1.0, 1.0]),
+    "grid_eval": lambda v: grid_eval(lambda x: np.full_like(x, v), P3),
+    "audit_nilpotent_poly_rank": lambda v: audit_nilpotent_poly_rank(
+        np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0, v], 1),
+    "as_matrix": lambda v: as_matrix([[1.0, v]]),
+    "as_vector": lambda v: as_vector([1.0, v]),
+    "numerical_rank, matrix": lambda v: numerical_rank([[1.0, v]]),
+    "numerical_rank, stack": lambda v: numerical_rank([[[1.0]], [[v]]]),
+    "Partition": lambda v: Partition(np.array([0.0, v])),
+    "lu_solve, a": lambda v: lu_solve([[1.0, 0.0], [0.0, v]], [1.0, 1.0]),
+    "lu_solve, b": lambda v: lu_solve(np.eye(2), [1.0, v]),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", NON_FINITE_CALLS)
+def test_non_finite_input_is_an_error(name, value):
+    """Every public entry takes its input through the one real-and-finite check."""
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_CALLS[name](value)
+
+
+def test_non_finite_messages_name_the_input():
+    for call, message in ((lambda: as_matrix([[math.nan]]), "matrix entries must be finite"),
+                          (lambda: as_vector([math.inf]), "vector entries must be finite"),
+                          (lambda: numerical_rank(np.full((2, 1, 1), -math.inf)),
+                           "matrix entries must be finite"),
+                          (lambda: Partition(np.array([0.0, math.nan])),
+                           "partition nodes must be finite")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 class TestComplexInput:
