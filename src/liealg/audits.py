@@ -10,6 +10,7 @@ exactly zero floating-point power cannot be expected in general.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from itertools import combinations, product
 from operator import index
@@ -18,7 +19,7 @@ import numpy as np
 from numpy.linalg import matrix_norm
 
 from .lifting import full_rank_predicate, poly_operator_matrix, space_of
-from .linalg import _as_real, _powers, as_matrix, numerical_rank
+from .linalg import _as_real, _count_ranks, _powers, _rank_input, as_matrix
 from .operators import _diff_matrices, diff_matrix
 from .partitions import Partition, _check_nodes, _jittered_nodes, uniform_partition
 
@@ -69,10 +70,20 @@ def _ranks(stack: np.ndarray, floors, rel_tol: float) -> list[int]:
     against the matrix's own largest singular value, which can never certify
     rank 0 of a round-off residue; the decay scale norm(H)^k can.
     """
-    # a NaN norm stays live, so numerical_rank rejects it as non-finite
+    return _rank_job(stack, floors, rel_tol)()
+
+
+def _rank_job(stack: np.ndarray, floors, rel_tol: float):
+    """:func:`_ranks` in two steps: this call makes every check and returns the count step,
+    which makes the one SVD, checks nothing and calls no public function."""
+    # a NaN norm stays live, so the rank checks reject it as non-finite
     live = [not top <= floor for top, floor in zip(matrix_norm(stack, ord=np.inf).tolist(), floors)]
-    ranks = iter(numerical_rank(stack if all(live) else stack[live], rel_tol).tolist())
-    return [next(ranks) if alive else 0 for alive in live]
+    checked = _rank_input(stack if all(live) else stack[live], rel_tol)
+
+    def count() -> list[int]:
+        ranks = iter(_count_ranks(checked, rel_tol).tolist())
+        return [next(ranks) if alive else 0 for alive in live]
+    return count
 
 
 def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
@@ -107,9 +118,7 @@ def _z_stacks(node_rows):
     """``(row indices, their Z stack)`` for each node count, from one checked stack."""
     for size in sorted({nodes.size for nodes in node_rows}):
         group = [i for i, nodes in enumerate(node_rows) if nodes.size == size]
-        stack = np.stack([node_rows[i] for i in group])
-        _check_nodes(stack, ndim=2)
-        yield group, _diff_matrices(stack)
+        yield group, _diff_matrices(_check_nodes(np.stack([node_rows[i] for i in group]), ndim=2))
 
 
 def audit_rank_ladder(h, rel_tol: float = 1e-8, prefix: str = "rank_ladder") -> list[AuditReport]:
@@ -147,14 +156,15 @@ def audit_nilpotent_poly_rank(b, coeffs, k: int, rel_tol: float = 1e-8) -> Audit
         raise ValueError("need at least the coefficient a_k")
     if coeffs[0] == 0.0:
         raise ValueError("lowest-order coefficient a_k must be nonzero")
-    expected, observed = _poly_ranks(b[None], [(coeffs, k)], rel_tol)[0]
+    expected, observed = _poly_ranks(b[None], [(coeffs, k)], rel_tol, power_ranks=True)
     name = f"nilpotent_poly_rank[k={k};m={k + coeffs.size - 1}]"
     return AuditReport(name, expected, observed, rel_tol)
 
 
-def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[tuple[int, int]]:
-    """``(rank B^k, rank(a_k B^k + ... + a_m B^m))`` of each B of a ``(G, dim, dim)`` stack,
-    given its ``(coeffs, k)``, from one :func:`_ranks` call that also checks each B^dim == 0.
+def _poly_ranks(bs: np.ndarray, cases, rel_tol: float, power_ranks: bool = False) -> list[int]:
+    """``rank(a_k B^k + ... + a_m B^m)`` of each B of a ``(G, dim, dim)`` stack, given its
+    ``(coeffs, k)``, from one :func:`_ranks` call that also checks each B^dim == 0; with
+    ``power_ranks``, the G ranks of B^k come first, decided in the same call.
 
     Every power comes from one :func:`_powers` chain, so each matrix has the same bits as
     the 2-D chain of its case alone; the zero padding of the shorter coefficient rows
@@ -172,14 +182,15 @@ def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[tuple[int, int]]:
     for j, column in enumerate(coeffs.T):
         poly += column[:, None, None] * powers[ks + j, rows]
     scales = matrix_norm(bs, ord=np.inf).tolist()
+    blocks = [powers[dim], powers[ks, rows], poly] if power_ranks else [powers[dim], poly]
     floors = ([NILPOTENCY_TOL * scale ** dim for scale in scales]
-              + [rel_tol * scale ** k for scale, (_, k) in zip(scales, cases)]
+              + [rel_tol * scale ** k for scale, (_, k) in zip(scales, cases) if power_ranks]
               + [rel_tol * scale ** k * sum(abs(a) * scale ** j for j, a in enumerate(c.tolist()))
                  for scale, (c, k) in zip(scales, cases)])
-    ranks = _ranks(np.concatenate([powers[dim], powers[ks, rows], poly]), floors, rel_tol)
+    ranks = _ranks(np.concatenate(blocks), floors, rel_tol)
     if any(ranks[:count]):
         raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
-    return list(zip(ranks[count:2 * count], ranks[2 * count:]))
+    return ranks[count:]
 
 
 # Fixed 2x2 nilpotent matrix of the variable-coefficient counterexample:
@@ -203,18 +214,28 @@ def counterexample_det(a, b):
 def _lifted_poly_reports(cases, ps: list[Partition], rel_tol: float) -> list[AuditReport]:
     """Check the constant-term full-rank predicate against the numerical rank, for each
     term list on one grid, with one batched SVD."""
+    count, reports = _lifted_poly_job(cases, ps, rel_tol)
+    return reports(count())
+
+
+def _lifted_poly_job(cases, ps: list[Partition], rel_tol: float):
+    """Assemble and check every matrix of :func:`_lifted_poly_reports`; return the count step
+    of their SVD (:func:`_rank_job`) and the call that turns its ranks into the reports."""
     space = space_of(ps)
     if space.total > MAX_LIFTED_TOTAL:
         raise ValueError(f"size guard: N={space.total} exceeds {MAX_LIFTED_TOTAL}")
     matrices = np.empty((len(cases), space.total, space.total))
     for i, terms in enumerate(cases):
         matrices[i] = poly_operator_matrix(terms, ps)
-    reports = []
-    for terms, rank in zip(cases, _ranks(matrices, [0.0] * len(cases), rel_tol)):
-        label = "+".join([("%gz" + "%d" * len(e)) % (c, *e) for c, e in terms])
-        reports.append(AuditReport(f"lifted_poly_rank[{label}]", full_rank_predicate(terms, ps),
+
+    def reports(ranks: list[int]) -> list[AuditReport]:
+        out = []
+        for terms, rank in zip(cases, ranks):
+            label = "+".join([("%gz" + "%d" * len(e)) % (c, *e) for c, e in terms])
+            out.append(AuditReport(f"lifted_poly_rank[{label}]", full_rank_predicate(terms, ps),
                                    rank == space.total, rel_tol))
-    return reports
+        return out
+    return _rank_job(matrices, [0.0] * len(cases), rel_tol), reports
 
 
 def random_poly_rank_case(rng: np.random.Generator, rel_tol: float) -> AuditReport:
@@ -245,7 +266,7 @@ def _random_poly_reports(rng: np.random.Generator, count: int,
         n = zs.shape[-1] - 1
         bs = zs / np.linalg.svd(zs, compute_uv=False)[:, :1, None]
         ranks = _poly_ranks(bs, [draws[i][1:] for i in group], rel_tol)
-        for i, (_, observed) in zip(group, ranks):
+        for i, observed in zip(group, ranks):
             k = draws[i][2]
             reports[i] = AuditReport(f"poly_rank_random[n={n};k={k}]", n + 1 - k, observed, rel_tol)
     return reports
@@ -261,7 +282,41 @@ def _lifted_poly_family():
 
 
 def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
-    """The full audit suite; deterministic for a fixed seed."""
+    """The full audit suite; deterministic for a fixed seed.
+
+    The lifted family draws no random numbers, so it is assembled and checked first, and
+    the SVD of its 234-matrix stack runs on one worker thread (LAPACK releases the GIL)
+    while the other families run; the worker is joined before this returns or raises.
+    """
+    # unit node spacing keeps norm(Z) of order one, so +-1 coefficients stay
+    # within the decisive range of the rank threshold
+    ps3 = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
+    count, lifted_reports = _lifted_poly_job(
+        [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
+         *_lifted_poly_family()], ps3, rel_tol)
+    outcome = []  # the worker's ranks, or the error it raised
+
+    def run():
+        try:
+            outcome.append(count())
+        except BaseException as error:  # re-raised on the calling thread
+            outcome.append(error)
+    worker = threading.Thread(target=run, name="lifted-svd")
+    worker.start()
+    try:
+        reports = _seeded_families(seed, rel_tol)
+    finally:
+        worker.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    lifted = lifted_reports(outcome[0])
+    ps2 = [Partition(np.arange(3.0)), Partition(np.arange(3.0))]
+    return (reports + lifted[:2] + _lifted_poly_reports([[(-7.0, (0, 0))]], ps2, rel_tol)
+            + lifted[2:])
+
+
+def _seeded_families(seed: int, rel_tol: float) -> list[AuditReport]:
+    """Every family of :func:`default_suite` but the lifted one, in its report order."""
     rng = np.random.default_rng(seed)
     reports: list[AuditReport] = []
 
@@ -291,18 +346,6 @@ def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     reports.append(AuditReport("counterexample_identity_20x20", True, deviation <= 1e-12, 1e-12))
     reports.append(AuditReport("counterexample_zero_at(1;0.5)", True,
                                abs(counterexample_det(1.0, 0.5)) <= 1e-12, 1e-12))
-
-    # unit node spacing keeps norm(Z) of order one, so +-1 coefficients stay
-    # within the decisive range of the rank threshold
-    ps3 = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
-    lifted = _lifted_poly_reports(
-        [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
-         *_lifted_poly_family()], ps3, rel_tol)
-    ps2 = [Partition(np.arange(3.0)), Partition(np.arange(3.0))]
-    reports += lifted[:2]
-    reports += _lifted_poly_reports([[(-7.0, (0, 0))]], ps2, rel_tol)
-    reports += lifted[2:]
-
     return reports
 
 

@@ -32,8 +32,7 @@ class Partition:
     _monomials: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        nodes = _as_real(self.nodes, "partition nodes").copy()
-        _check_nodes(nodes)
+        nodes = _check_nodes(self.nodes).copy()
         nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
 
@@ -43,14 +42,15 @@ class Partition:
         return self.nodes.size - 1
 
 
-def _check_nodes(nodes: np.ndarray, ndim: int = 1) -> None:
-    """The checks of :class:`Partition`, on one row of nodes or (``ndim=2``) a stack."""
+def _check_nodes(nodes, ndim: int = 1) -> np.ndarray:
+    """The checks of :class:`Partition`, on one row of nodes or (``ndim=2``) a stack,
+    which is returned as a float array."""
+    nodes = _as_real(nodes, "partition nodes")
     if nodes.ndim != ndim or nodes.shape[-1] < 2:
         raise ValueError("a partition needs at least two nodes")
-    if not np.all(np.isfinite(nodes)):
-        raise ValueError("partition nodes must be finite")
     if not np.all(nodes[..., 1:] > nodes[..., :-1]):  # no subtraction to overflow
         raise ValueError("partition nodes must be strictly increasing")
+    return nodes
 
 
 def uniform_partition(a: float, b: float, n: int) -> Partition:

@@ -1,5 +1,9 @@
+import importlib
+import inspect
+import threading
+import time
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
 from itertools import product
 from math import lcm, prod
 
@@ -16,6 +20,7 @@ from liealg.audits import (
     _lifted_poly_reports,
     _poly_ranks,
     _random_poly_reports,
+    _rank_job,
     _ranks,
     audit_rank_ladder,
     audit_nilpotent_poly_rank,
@@ -130,6 +135,21 @@ class TestRanks:
         stack = np.stack([np.zeros((2, 2)), np.full((2, 2), np.nan)])
         with pytest.raises(ValueError, match="finite"):
             _ranks(stack, [1.0, 1.0], 1e-8)
+
+    def test_job_checks_before_its_count_step(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the count step ran")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        for stack, rel_tol, match in ((np.full((1, 2, 2), np.nan), 1e-8, "finite"),
+                                      (np.eye(2)[None] * 1j, 1e-8, "real"),
+                                      (np.eye(2)[None], 1.0, "rel_tol"),
+                                      (np.eye(2)[None], 0.0, "rel_tol")):
+            with pytest.raises(ValueError, match=match):
+                _rank_job(stack, [0.0], rel_tol)
+        # every matrix at or below its floor: the count step decomposes nothing
+        monkeypatch.undo()
+        assert _rank_job(np.zeros((2, 3, 3)), [0.0, 0.0], 1e-8)() == [0, 0]
 
 
 class TestDiffRankAudit:
@@ -288,17 +308,18 @@ class TestNilpotentPolyRankAudit:
                 return _ranks(stack, floors, rel_tol)
 
             monkeypatch.setattr(audits, "_ranks", recording_ranks)
-            for rel_tol in (1e-8, 1e-10):
-                got = _poly_ranks(bs, cases, rel_tol)
-                expected = reference_poly_ranks(
-                    [(b, coeffs, k) for b, (coeffs, k) in zip(bs, cases)], rel_tol)
-                assert got == expected
-                # the same matrices and floors, bit for bit, only grouped by kind
+            for rel_tol, power_ranks in product((1e-8, 1e-10), (False, True)):
+                got = _poly_ranks(bs, cases, rel_tol, power_ranks=power_ranks)
+                power, poly = map(list, zip(*reference_poly_ranks(
+                    [(b, coeffs, k) for b, (coeffs, k) in zip(bs, cases)], rel_tol)))
+                assert got == (power if power_ranks else []) + poly
+                # the same matrices and floors, bit for bit, only grouped by kind; the B^k
+                # are decided only when their ranks are asked for
                 (stack, floors), (reference, reference_floors) = seen[-2:]
-                regrouped = np.concatenate([reference[0::3], reference[1::3], reference[2::3]])
+                kinds = (0, 1, 2) if power_ranks else (0, 2)
+                regrouped = np.concatenate([reference[kind::3] for kind in kinds])
                 assert stack.tobytes() == regrouped.tobytes()
-                assert floors == (reference_floors[0::3] + reference_floors[1::3]
-                                  + reference_floors[2::3])
+                assert floors == [f for kind in kinds for f in reference_floors[kind::3]]
 
     @pytest.mark.parametrize("seed", [7, 42])
     def test_power_past_nilpotency_index_has_rank_zero(self, seed):
@@ -511,6 +532,40 @@ class TestAuditReport:
                                            "b,true,false,1.0000e-12,false\n")
 
 
+LIFTED_TOTAL = 16  # the 4x4 grid of default_suite's lifted family; no other stack is as wide
+
+
+def sequential_suite(seed, rel_tol):
+    """default_suite one family after another on one thread, in report order."""
+    rng = np.random.default_rng(seed)
+    diff_cases = [(np.array([0.0, 1.0]), "diff_"), (np.array([0.0, 1.0, 2.0]), "diff_")]
+    for t in range(100):
+        diff_cases.append((jittered_partition(rng, int(rng.integers(2, 11))).nodes,
+                           f"diff_random{t:03d}_"))
+    reports = _diff_rank_reports(diff_cases, rel_tol)
+    for label, h in (("z01", diff_matrix(P01)), ("z012", diff_matrix(P012)),
+                     ("jordan2", JORDAN2)):
+        reports += audit_rank_ladder(h, rel_tol, f"rank_ladder_{label}")
+    reports += [audit_nilpotent_poly_rank(diff_matrix(uniform_partition(0.0, 1.0, 4)),
+                                          [1.0, 0.0, 1.0], 0, rel_tol),
+                audit_nilpotent_poly_rank(diff_matrix(P012), [1.0], 2, rel_tol),
+                audit_nilpotent_poly_rank(COUNTEREXAMPLE_MATRIX, [3.0], 1, rel_tol)]
+    reports += [random_poly_rank_case(rng, rel_tol) for _ in range(50)]
+    grid_a, grid_b = np.meshgrid(np.linspace(-2.0, 2.0, 20), np.linspace(-2.0, 2.0, 20),
+                                 indexing="ij")
+    deviation = np.abs(counterexample_det(grid_a, grid_b) - (1.0 + 2.0 * (grid_b - grid_a))).max()
+    reports += [AuditReport("counterexample_identity_20x20", True, deviation <= 1e-12, 1e-12),
+                AuditReport("counterexample_zero_at(1;0.5)", True,
+                            abs(counterexample_det(1.0, 0.5)) <= 1e-12, 1e-12)]
+    ps3 = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
+    lifted = _lifted_poly_reports(
+        [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
+         *_lifted_poly_family()], ps3, rel_tol)
+    ps2 = [Partition(np.arange(3.0)), Partition(np.arange(3.0))]
+    return (reports + lifted[:2] + _lifted_poly_reports([[(-7.0, (0, 0))]], ps2, rel_tol)
+            + lifted[2:])
+
+
 class TestDefaultSuite:
     def test_everything_passes(self):
         reports = default_suite(seed=42)
@@ -528,3 +583,92 @@ class TestDefaultSuite:
 
     def test_deterministic_for_fixed_seed(self):
         assert reports_to_csv(default_suite(seed=3)) == reports_to_csv(default_suite(seed=3))
+
+    @pytest.mark.parametrize("seed", [42, 7, 1])
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-10])
+    def test_equals_sequential_family_order(self, seed, rel_tol):
+        assert default_suite(seed, rel_tol) == sequential_suite(seed, rel_tol)
+
+    def test_bad_rel_tol_is_refused_before_the_worker_starts(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", started.append)
+        for rel_tol in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError, match="rel_tol"):
+                default_suite(rel_tol=rel_tol)
+        assert started == []
+
+    def test_lifted_svd_failure_propagates_and_leaves_no_thread(self, monkeypatch):
+        svd = np.linalg.svd
+
+        def failing_svd(a, *args, **kwargs):
+            if a.shape[-1] == LIFTED_TOTAL:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            default_suite()
+        assert threading.active_count() == before
+
+    def test_error_on_the_calling_thread_waits_for_the_worker(self, monkeypatch):
+        svd, finished = np.linalg.svd, []
+
+        def slow_failing_svd(a, *args, **kwargs):
+            if a.shape[-1] != LIFTED_TOTAL:
+                return svd(a, *args, **kwargs)
+            time.sleep(0.2)
+            finished.append(True)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        def failing_det(a, b):
+            raise RuntimeError("counterexample failed")
+
+        before = threading.active_count()
+        monkeypatch.setattr(np.linalg, "svd", slow_failing_svd)
+        monkeypatch.setattr(audits, "counterexample_det", failing_det)
+        # the calling thread's error wins, and only once the worker is done
+        with pytest.raises(RuntimeError, match="counterexample failed"):
+            default_suite()
+        assert finished == [True]
+        assert threading.active_count() == before
+
+    def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
+        calls, svd_calls, svd = [], [], np.linalg.svd
+
+        def recorded(fn):
+            @wraps(fn)
+            def wrapper(*args, **kwargs):
+                calls.append((fn.__name__, threading.get_ident()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        modules = [importlib.import_module(f"liealg.{name}") for name in
+                   ("partitions", "operators", "lifting", "linalg", "audits", "bvp", "cli")]
+        wrappers = {}
+        for module in modules:
+            for name in getattr(module, "__all__", ()):
+                fn = getattr(module, name)
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__:
+                    wrappers[fn] = recorded(fn)
+        # every module's binding, as `from .lifting import poly_operator_matrix` makes its own
+        for module in modules:
+            for name, value in list(vars(module).items()):
+                if inspect.isfunction(value) and value in wrappers:
+                    monkeypatch.setattr(module, name, wrappers[value])
+
+        def recording_svd(a, *args, **kwargs):
+            svd_calls.append((a.shape, threading.get_ident()))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        me = threading.get_ident()
+        reports = audits.default_suite()
+        assert {ident for _, ident in calls} == {me}
+        assert sum(name == "poly_operator_matrix" for name, _ in calls) == 235
+        # only the lifted family's stack is decomposed off the calling thread
+        assert [shape for shape, ident in svd_calls if ident != me] == [
+            (234, LIFTED_TOTAL, LIFTED_TOTAL)]
+        assert len(svd_calls) > 10
+        assert reports == sequential_suite(42, 1e-8)
+
