@@ -19,7 +19,7 @@ import numpy as np
 from numpy.linalg import matrix_norm
 
 from .lifting import full_rank_predicate, poly_operator_matrix, space_of
-from .linalg import _as_real, _count_ranks, _powers, _rank_input, as_matrix
+from .linalg import _as_real, _powers, _stack_ranks, as_matrix
 from .operators import _diff_matrices, diff_matrix
 from .partitions import Partition, _check_nodes, _jittered_nodes, uniform_partition
 
@@ -70,20 +70,10 @@ def _ranks(stack: np.ndarray, floors, rel_tol: float) -> list[int]:
     against the matrix's own largest singular value, which can never certify
     rank 0 of a round-off residue; the decay scale norm(H)^k can.
     """
-    return _rank_job(stack, floors, rel_tol)()
-
-
-def _rank_job(stack: np.ndarray, floors, rel_tol: float):
-    """:func:`_ranks` in two steps: this call makes every check and returns the count step,
-    which makes the one SVD, checks nothing and calls no public function."""
     # a NaN norm stays live, so the rank checks reject it as non-finite
     live = [not top <= floor for top, floor in zip(matrix_norm(stack, ord=np.inf).tolist(), floors)]
-    checked = _rank_input(stack if all(live) else stack[live], rel_tol)
-
-    def count() -> list[int]:
-        ranks = iter(_count_ranks(checked, rel_tol).tolist())
-        return [next(ranks) if alive else 0 for alive in live]
-    return count
+    ranks = iter(_stack_ranks(stack if all(live) else stack[live], rel_tol).tolist())
+    return [next(ranks) if alive else 0 for alive in live]
 
 
 def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
@@ -211,31 +201,27 @@ def counterexample_det(a, b):
     return float(det) if det.ndim == 0 else det
 
 
-def _lifted_poly_reports(cases, ps: list[Partition], rel_tol: float) -> list[AuditReport]:
-    """Check the constant-term full-rank predicate against the numerical rank, for each
-    term list on one grid, with one batched SVD."""
-    count, reports = _lifted_poly_job(cases, ps, rel_tol)
-    return reports(count())
-
-
-def _lifted_poly_job(cases, ps: list[Partition], rel_tol: float):
-    """Assemble and check every matrix of :func:`_lifted_poly_reports`; return the count step
-    of their SVD (:func:`_rank_job`) and the call that turns its ranks into the reports."""
-    space = space_of(ps)
-    if space.total > MAX_LIFTED_TOTAL:
-        raise ValueError(f"size guard: N={space.total} exceeds {MAX_LIFTED_TOTAL}")
-    matrices = np.empty((len(cases), space.total, space.total))
+def _lifted_matrices(cases, ps: list[Partition]) -> np.ndarray:
+    """The stack of ``poly_operator_matrix(terms, ps)`` of each term list, once the grid has
+    passed the size guard."""
+    total = space_of(ps).total
+    if total > MAX_LIFTED_TOTAL:
+        raise ValueError(f"size guard: N={total} exceeds {MAX_LIFTED_TOTAL}")
+    matrices = np.empty((len(cases), total, total))
     for i, terms in enumerate(cases):
         matrices[i] = poly_operator_matrix(terms, ps)
+    return matrices
 
-    def reports(ranks: list[int]) -> list[AuditReport]:
-        out = []
-        for terms, rank in zip(cases, ranks):
-            label = "+".join([("%gz" + "%d" * len(e)) % (c, *e) for c, e in terms])
-            out.append(AuditReport(f"lifted_poly_rank[{label}]", full_rank_predicate(terms, ps),
-                                   rank == space.total, rel_tol))
-        return out
-    return _rank_job(matrices, [0.0] * len(cases), rel_tol), reports
+
+def _lifted_poly_reports(cases, ps: list[Partition], ranks, rel_tol: float) -> list[AuditReport]:
+    """Check the constant-term full-rank predicate of each term list on one grid against
+    the ``rel_tol`` rank of its matrix of :func:`_lifted_matrices`."""
+    total, reports = space_of(ps).total, []
+    for terms, rank in zip(cases, ranks):
+        label = "+".join([("%gz" + "%d" * len(e)) % (c, *e) for c, e in terms])
+        reports.append(AuditReport(f"lifted_poly_rank[{label}]", full_rank_predicate(terms, ps),
+                                   rank == total, rel_tol))
+    return reports
 
 
 def random_poly_rank_case(rng: np.random.Generator, rel_tol: float) -> AuditReport:
@@ -284,21 +270,26 @@ def _lifted_poly_family():
 def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     """The full audit suite; deterministic for a fixed seed.
 
-    The lifted family draws no random numbers, so it is assembled and checked first, and
-    the SVD of its 234-matrix stack runs on one worker thread (LAPACK releases the GIL)
-    while the other families run; the worker is joined before this returns or raises.
+    The lifted family draws no random numbers.  Its one-case 3x3 grid is decided first, on
+    the calling thread, which refuses a bad ``rel_tol`` before any thread starts; then the
+    :func:`_ranks` of its 234-matrix 4x4 stack run on one worker thread (LAPACK releases
+    the GIL) while the other families run.  The worker is joined before this returns or
+    raises.
     """
+    ps2, constant = [Partition(np.arange(3.0)), Partition(np.arange(3.0))], [[(-7.0, (0, 0))]]
+    constant_reports = _lifted_poly_reports(
+        constant, ps2, _ranks(_lifted_matrices(constant, ps2), [0.0], rel_tol), rel_tol)
     # unit node spacing keeps norm(Z) of order one, so +-1 coefficients stay
     # within the decisive range of the rank threshold
     ps3 = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
-    count, lifted_reports = _lifted_poly_job(
-        [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
-         *_lifted_poly_family()], ps3, rel_tol)
+    cases = [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
+             *_lifted_poly_family()]
+    matrices = _lifted_matrices(cases, ps3)
     outcome = []  # the worker's ranks, or the error it raised
 
     def run():
         try:
-            outcome.append(count())
+            outcome.append(_ranks(matrices, [0.0] * len(cases), rel_tol))
         except BaseException as error:  # re-raised on the calling thread
             outcome.append(error)
     worker = threading.Thread(target=run, name="lifted-svd")
@@ -309,10 +300,8 @@ def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
         worker.join()
     if isinstance(outcome[0], BaseException):
         raise outcome[0]
-    lifted = lifted_reports(outcome[0])
-    ps2 = [Partition(np.arange(3.0)), Partition(np.arange(3.0))]
-    return (reports + lifted[:2] + _lifted_poly_reports([[(-7.0, (0, 0))]], ps2, rel_tol)
-            + lifted[2:])
+    lifted = _lifted_poly_reports(cases, ps3, outcome[0], rel_tol)
+    return reports + lifted[:2] + constant_reports + lifted[2:]
 
 
 def _seeded_families(seed: int, rel_tol: float) -> list[AuditReport]:

@@ -206,26 +206,22 @@ def numerical_rank(a, rel_tol: float = 1e-8):
     gives an ``int``; a stack of shape ``(B, m, n)`` gives an integer array of
     B ranks from one batched SVD, each equal to the rank of its matrix alone.
     """
-    a = _rank_input(a, rel_tol)
-    ranks = _count_ranks(a if a.ndim == 3 else a[None], rel_tol)
-    return ranks if a.ndim == 3 else int(ranks[0])
+    ranks = _stack_ranks(a, rel_tol)
+    return ranks if ranks.ndim else int(ranks)
 
 
-def _rank_input(a, rel_tol: float) -> np.ndarray:
-    """The checks of :func:`numerical_rank`; ``a`` comes back as a real, finite float array."""
+def _stack_ranks(stack, rel_tol: float) -> np.ndarray:
+    """The ranks of :func:`numerical_rank`, after all of its checks, from one SVD of ``stack``
+    as given: a ``(B, m, n)`` stack gives B ranks, a matrix a 0-d rank, so a shape error
+    names the caller's shape."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    a = _as_real(a, "matrix entries")
+    a = _as_real(stack, "matrix entries")
     if a.ndim not in (2, 3) or a.shape[-2] < 1 or a.shape[-1] < 1:
         raise ValueError(f"expected a 2-D matrix or a stack of matrices, got shape {a.shape}")
-    return a
-
-
-def _count_ranks(stack: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Ranks of a stack that :func:`_rank_input` passed, from one batched SVD; no checks."""
-    s = np.linalg.svd(stack, compute_uv=False)
+    s = np.linalg.svd(a, compute_uv=False)
     # a zero matrix has s[0] == 0, so none of its singular values counts
-    return np.count_nonzero(s > rel_tol * s[:, :1], axis=1)
+    return np.count_nonzero(s > rel_tol * s[..., :1], axis=-1)
 
 
 def _format_rows(rows: np.ndarray) -> str:

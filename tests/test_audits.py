@@ -16,11 +16,11 @@ from liealg.audits import (
     NILPOTENCY_TOL,
     AuditReport,
     _diff_rank_reports,
+    _lifted_matrices,
     _lifted_poly_family,
     _lifted_poly_reports,
     _poly_ranks,
     _random_poly_reports,
-    _rank_job,
     _ranks,
     audit_rank_ladder,
     audit_nilpotent_poly_rank,
@@ -120,6 +120,12 @@ def reference_poly_ranks(cases, rel_tol):
     return list(zip(ranks[1::3], ranks[2::3]))
 
 
+def lifted_poly_reports(cases, ps, rel_tol):
+    """The lifted reports of one grid, assembled, ranked and reported on the calling thread."""
+    ranks = _ranks(_lifted_matrices(cases, ps), [0.0] * len(cases), rel_tol)
+    return _lifted_poly_reports(cases, ps, ranks, rel_tol)
+
+
 class TestRanks:
     def test_zero_floor_gives_plain_rank(self):
         stack = np.stack([np.eye(3), np.diag([1.0, 1e-12, 0.0]), np.zeros((3, 3))])
@@ -138,7 +144,7 @@ class TestRanks:
 
     def test_job_checks_before_its_count_step(self, monkeypatch):
         def no_svd(*args, **kwargs):
-            raise AssertionError("the count step ran")
+            raise AssertionError("the SVD ran")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         for stack, rel_tol, match in ((np.full((1, 2, 2), np.nan), 1e-8, "finite"),
@@ -146,10 +152,10 @@ class TestRanks:
                                       (np.eye(2)[None], 1.0, "rel_tol"),
                                       (np.eye(2)[None], 0.0, "rel_tol")):
             with pytest.raises(ValueError, match=match):
-                _rank_job(stack, [0.0], rel_tol)
-        # every matrix at or below its floor: the count step decomposes nothing
+                _ranks(stack, [0.0], rel_tol)
+        # every matrix at or below its floor: the SVD decomposes nothing
         monkeypatch.undo()
-        assert _rank_job(np.zeros((2, 3, 3)), [0.0, 0.0], 1e-8)() == [0, 0]
+        assert _ranks(np.zeros((2, 3, 3)), [0.0, 0.0], 1e-8) == [0, 0]
 
 
 class TestDiffRankAudit:
@@ -458,30 +464,30 @@ class TestLiftedPolyRankAudit:
     PS33 = [uniform_partition(0, 3, 3), uniform_partition(-1.5, 1.5, 3)]
 
     def test_full_rank_with_constant(self):
-        [report] = _lifted_poly_reports([[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))]], self.PS33,
+        [report] = lifted_poly_reports([[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))]], self.PS33,
                                         1e-8)
         assert report.passed and report.expected is True
 
     def test_deficient_without_constant(self):
-        [report] = _lifted_poly_reports([[(1.0, (2, 0)), (1.0, (0, 1))]], self.PS33, 1e-8)
+        [report] = lifted_poly_reports([[(1.0, (2, 0)), (1.0, (0, 1))]], self.PS33, 1e-8)
         assert report.passed and report.expected is False
 
     def test_pure_constant(self):
         ps = [uniform_partition(0, 1, 2), uniform_partition(0, 1, 2)]
-        [report] = _lifted_poly_reports([[(-7.0, (0, 0))]], ps, 1e-8)
+        [report] = lifted_poly_reports([[(-7.0, (0, 0))]], ps, 1e-8)
         assert report.passed and report.expected is True
 
     def test_size_guard(self):
         ps = [uniform_partition(0, 1, 16), uniform_partition(0, 1, 16)]
         with pytest.raises(ValueError, match="size guard"):
-            _lifted_poly_reports([[(1.0, (0, 0))]], ps, 1e-8)
+            lifted_poly_reports([[(1.0, (0, 0))]], ps, 1e-8)
 
     def test_stacked_family_equals_per_case_calls(self):
         ps = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
         family = list(_lifted_poly_family())
-        reports = _lifted_poly_reports(family, ps, 1e-8)
+        reports = lifted_poly_reports(family, ps, 1e-8)
         assert len(reports) == 232
-        assert reports == [r for terms in family for r in _lifted_poly_reports([terms], ps, 1e-8)]
+        assert reports == [r for terms in family for r in lifted_poly_reports([terms], ps, 1e-8)]
         assert [r.observed for r in reports] == [
             numerical_rank(poly_operator_matrix(terms, ps)) == 16 for terms in family]
 
@@ -503,7 +509,7 @@ class TestLiftedPolyRankAudit:
         s = np.linalg.svd(matrices, compute_uv=False)
         with np.errstate(divide="ignore"):  # an exactly zero singular value is infinitely far
             assert np.abs(np.log10(s / (1e-8 * s[:, :1]))).min() > 3.0
-        reports = _lifted_poly_reports(cases, ps, 1e-8)
+        reports = lifted_poly_reports(cases, ps, 1e-8)
         assert all(r.passed for r in reports)
         assert [r.observed for r in reports] == [rank == 16 for rank in exact]
 
@@ -558,11 +564,11 @@ def sequential_suite(seed, rel_tol):
                 AuditReport("counterexample_zero_at(1;0.5)", True,
                             abs(counterexample_det(1.0, 0.5)) <= 1e-12, 1e-12)]
     ps3 = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
-    lifted = _lifted_poly_reports(
+    lifted = lifted_poly_reports(
         [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
          *_lifted_poly_family()], ps3, rel_tol)
     ps2 = [Partition(np.arange(3.0)), Partition(np.arange(3.0))]
-    return (reports + lifted[:2] + _lifted_poly_reports([[(-7.0, (0, 0))]], ps2, rel_tol)
+    return (reports + lifted[:2] + lifted_poly_reports([[(-7.0, (0, 0))]], ps2, rel_tol)
             + lifted[2:])
 
 
@@ -605,11 +611,39 @@ class TestDefaultSuite:
                 raise np.linalg.LinAlgError("SVD did not converge")
             return svd(a, *args, **kwargs)
 
+        def nan_matrix(terms, ps):
+            # one matrix of the 4x4 grid, whose checks run on the worker, holds a NaN
+            m = poly_operator_matrix(terms, ps)
+            if terms == [(1.0, (2, 0)), (1.0, (0, 1))]:
+                m[0, 0] = np.nan
+            return m
+
         before = threading.active_count()
-        monkeypatch.setattr(np.linalg, "svd", failing_svd)
-        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            default_suite()
+        for module, name, patch, error, match in (
+                (np.linalg, "svd", failing_svd, np.linalg.LinAlgError, "did not converge"),
+                (audits, "poly_operator_matrix", nan_matrix, ValueError, "finite")):
+            with monkeypatch.context() as patched:
+                patched.setattr(module, name, patch)
+                with pytest.raises(error, match=match):
+                    default_suite()
+            assert threading.active_count() == before
+
+    def test_slow_worker_is_joined_on_success(self, monkeypatch):
+        svd, finished = np.linalg.svd, []
+
+        def slow_svd(a, *args, **kwargs):
+            if a.shape[-1] == LIFTED_TOTAL:
+                time.sleep(0.2)
+                finished.append(True)
+            return svd(a, *args, **kwargs)
+
+        before = threading.active_count()
+        monkeypatch.setattr(np.linalg, "svd", slow_svd)
+        reports = default_suite()
+        assert finished == [True]
         assert threading.active_count() == before
+        monkeypatch.undo()
+        assert reports == sequential_suite(42, 1e-8)
 
     def test_error_on_the_calling_thread_waits_for_the_worker(self, monkeypatch):
         svd, finished = np.linalg.svd, []

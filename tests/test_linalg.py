@@ -615,6 +615,10 @@ class TestNumericalRank:
         assert type(numerical_rank(np.eye(2))) is int
         with pytest.raises(ValueError, match="2-D"):
             numerical_rank(np.ones(3))
+        # the message names the caller's shape, not that of a stack of one
+        for bad, shape in ((np.zeros((0, 3)), r"\(0, 3\)"), (np.ones(3), r"\(3,\)")):
+            with pytest.raises(ValueError, match=f"got shape {shape}$"):
+                numerical_rank(bad)
 
     def test_stack_of_mixed_ranks(self):
         stack = np.array([np.zeros((3, 3)), np.diag([2.0, 0.0, 0.0]), np.eye(3),
