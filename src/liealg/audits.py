@@ -66,9 +66,10 @@ def _ranks(stack: np.ndarray, floors, rel_tol: float) -> list[int]:
     A matrix whose infinity norm is at most its floor has rank 0; every other
     matrix gets its :func:`numerical_rank`, all from one batched SVD.  A floor
     of 0.0 gives the plain rank; ``tol * norm(H) ** k`` gives the norm-decay
-    test for H^k.  The relative threshold of :func:`numerical_rank` is taken
-    against the matrix's own largest singular value, which can never certify
-    rank 0 of a round-off residue; the decay scale norm(H)^k can.
+    test for H^k; an infinite floor marks a matrix known to be zero.  The
+    relative threshold of :func:`numerical_rank` is taken against the matrix's
+    own largest singular value, which can never certify rank 0 of a round-off
+    residue; the decay scale norm(H)^k can.
     """
     # a NaN norm stays live, so the rank checks reject it as non-finite
     live = [not top <= floor for top, floor in zip(matrix_norm(stack, ord=np.inf).tolist(), floors)]
@@ -146,21 +147,21 @@ def audit_nilpotent_poly_rank(b, coeffs, k: int, rel_tol: float = 1e-8) -> Audit
         raise ValueError("need at least the coefficient a_k")
     if coeffs[0] == 0.0:
         raise ValueError("lowest-order coefficient a_k must be nonzero")
-    expected, observed = _poly_ranks(b[None], [(coeffs, k)], rel_tol, power_ranks=True)
+    expected, observed = _poly_ranks(np.stack([b, b]), [(np.ones(1), k), (coeffs, k)], rel_tol)
     name = f"nilpotent_poly_rank[k={k};m={k + coeffs.size - 1}]"
     return AuditReport(name, expected, observed, rel_tol)
 
 
-def _poly_ranks(bs: np.ndarray, cases, rel_tol: float, power_ranks: bool = False) -> list[int]:
+def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[int]:
     """``rank(a_k B^k + ... + a_m B^m)`` of each B of a ``(G, dim, dim)`` stack, given its
-    ``(coeffs, k)``, from one :func:`_ranks` call that also checks each B^dim == 0; with
-    ``power_ranks``, the G ranks of B^k come first, decided in the same call.
+    ``(coeffs, k)``, from one :func:`_ranks` call that also checks each B^dim == 0.
 
     Every power comes from one :func:`_powers` chain, so each matrix has the same bits as
     the 2-D chain of its case alone; the zero padding of the shorter coefficient rows
     only adds +0.0 to sums that never hold -0.0.  The polynomial is B^k (a_k I + a_{k+1} B
-    + ...), so its norm is at most norm(B)^k sum_j |a_j| norm(B)^j; ``rel_tol`` times that
-    bound is its floor, which certifies rank 0 of the round-off residue left once k >= dim.
+    + ...), whose second factor is invertible since a_k != 0 and B is nilpotent, so it is
+    zero exactly when B^k is: its floor is infinite where norm(B^k) <= rel_tol norm(B)^k,
+    the decay rule of :func:`audit_rank_ladder`, and 0.0 elsewhere.
     """
     count, dim = len(cases), bs.shape[-1]
     coeffs = np.zeros((count, max(c.size for c, _ in cases)))
@@ -172,12 +173,11 @@ def _poly_ranks(bs: np.ndarray, cases, rel_tol: float, power_ranks: bool = False
     for j, column in enumerate(coeffs.T):
         poly += column[:, None, None] * powers[ks + j, rows]
     scales = matrix_norm(bs, ord=np.inf).tolist()
-    blocks = [powers[dim], powers[ks, rows], poly] if power_ranks else [powers[dim], poly]
+    tops = matrix_norm(powers[ks, rows], ord=np.inf).tolist()
     floors = ([NILPOTENCY_TOL * scale ** dim for scale in scales]
-              + [rel_tol * scale ** k for scale, (_, k) in zip(scales, cases) if power_ranks]
-              + [rel_tol * scale ** k * sum(abs(a) * scale ** j for j, a in enumerate(c.tolist()))
-                 for scale, (c, k) in zip(scales, cases)])
-    ranks = _ranks(np.concatenate(blocks), floors, rel_tol)
+              + [np.inf if top <= rel_tol * scale ** k else 0.0
+                 for top, scale, k in zip(tops, scales, ks.tolist())])
+    ranks = _ranks(np.concatenate([powers[dim], poly]), floors, rel_tol)
     if any(ranks[:count]):
         raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
     return ranks[count:]
