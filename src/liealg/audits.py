@@ -10,7 +10,6 @@ exactly zero floating-point power cannot be expected in general.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import combinations, product
 from operator import index
@@ -19,7 +18,7 @@ import numpy as np
 from numpy.linalg import matrix_norm
 
 from .lifting import full_rank_predicate, poly_operator_matrix, space_of
-from .linalg import _as_real, _powers, _stack_ranks, as_matrix
+from .linalg import _as_real, _powers, as_matrix, numerical_rank
 from .operators import _diff_matrices, diff_matrix
 from .partitions import Partition, _check_nodes, _jittered_nodes, uniform_partition
 
@@ -64,16 +63,17 @@ def _ranks(stack: np.ndarray, floors, rel_tol: float) -> list[int]:
     """Numerical rank of each matrix of a stack.
 
     A matrix whose infinity norm is at most its floor has rank 0; every other
-    matrix gets its :func:`numerical_rank`, all from one batched SVD.  A floor
-    of 0.0 gives the plain rank; ``tol * norm(H) ** k`` gives the norm-decay
-    test for H^k; an infinite floor marks a matrix known to be zero.  The
-    relative threshold of :func:`numerical_rank` is taken against the matrix's
-    own largest singular value, which can never certify rank 0 of a round-off
-    residue; the decay scale norm(H)^k can.
+    matrix gets its rank from one :func:`numerical_rank` call on the stack of
+    those matrices: its checks, then one batched SVD, or none if no matrix is
+    left.  A floor of 0.0 gives the plain rank; ``tol * norm(H) ** k`` gives
+    the norm-decay test for H^k; an infinite floor marks a matrix known to be
+    zero.  The relative threshold of :func:`numerical_rank` is taken against
+    the matrix's own largest singular value, which can never certify rank 0 of
+    a round-off residue; the decay scale norm(H)^k can.
     """
     # a NaN norm stays live, so the rank checks reject it as non-finite
     live = [not top <= floor for top, floor in zip(matrix_norm(stack, ord=np.inf).tolist(), floors)]
-    ranks = iter(_stack_ranks(stack if all(live) else stack[live], rel_tol).tolist())
+    ranks = iter(numerical_rank(stack if all(live) else stack[live], rel_tol).tolist())
     return [next(ranks) if alive else 0 for alive in live]
 
 
@@ -270,11 +270,10 @@ def _lifted_poly_family():
 def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     """The full audit suite; deterministic for a fixed seed.
 
-    The lifted family draws no random numbers.  Its one-case 3x3 grid is decided first, on
-    the calling thread, which refuses a bad ``rel_tol`` before any thread starts; then the
-    :func:`_ranks` of its 234-matrix 4x4 stack run on one worker thread (LAPACK releases
-    the GIL) while the other families run.  The worker is joined before this returns or
-    raises.
+    Everything runs on the calling thread.  The lifted family draws no random numbers and
+    is decided first: its one-case 3x3 grid, which refuses a bad ``rel_tol`` before any
+    SVD, then its 234-matrix 4x4 stack in one :func:`_ranks` call.  A worker thread for
+    that stack gained no throughput on a 2-vCPU host and cost a second malloc arena.
     """
     ps2, constant = [Partition(np.arange(3.0)), Partition(np.arange(3.0))], [[(-7.0, (0, 0))]]
     constant_reports = _lifted_poly_reports(
@@ -284,23 +283,9 @@ def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     ps3 = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
     cases = [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
              *_lifted_poly_family()]
-    matrices = _lifted_matrices(cases, ps3)
-    outcome = []  # the worker's ranks, or the error it raised
-
-    def run():
-        try:
-            outcome.append(_ranks(matrices, [0.0] * len(cases), rel_tol))
-        except BaseException as error:  # re-raised on the calling thread
-            outcome.append(error)
-    worker = threading.Thread(target=run, name="lifted-svd")
-    worker.start()
-    try:
-        reports = _seeded_families(seed, rel_tol)
-    finally:
-        worker.join()
-    if isinstance(outcome[0], BaseException):
-        raise outcome[0]
-    lifted = _lifted_poly_reports(cases, ps3, outcome[0], rel_tol)
+    lifted = _lifted_poly_reports(cases, ps3, _ranks(_lifted_matrices(cases, ps3),
+                                                      [0.0] * len(cases), rel_tol), rel_tol)
+    reports = _seeded_families(seed, rel_tol)
     return reports + lifted[:2] + constant_reports + lifted[2:]
 
 

@@ -49,7 +49,7 @@ def _resolve_dims(config: RunConfig) -> tuple[int, int]:
 
 def _partition_from_config(config: RunConfig) -> Partition:
     nodes = config.nodes
-    if nodes and os.path.exists(nodes) and "," not in nodes:
+    if nodes and "," not in nodes and os.path.exists(nodes):
         try:
             return read_partition(nodes)
         except (OSError, ValueError) as exc:

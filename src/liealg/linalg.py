@@ -204,24 +204,22 @@ def numerical_rank(a, rel_tol: float = 1e-8):
 
     The zero matrix has rank 0.  ``rel_tol`` must lie in (0, 1).  A matrix
     gives an ``int``; a stack of shape ``(B, m, n)`` gives an integer array of
-    B ranks from one batched SVD, each equal to the rank of its matrix alone.
+    B ranks from one batched SVD of the stack as given, each equal to the rank
+    of its matrix alone.  An empty stack (B = 0) gives an empty array and makes
+    no SVD.  Every check runs first, so a bad ``rel_tol`` or a non-finite entry
+    is refused before any SVD, and a shape error names the caller's shape.
     """
-    ranks = _stack_ranks(a, rel_tol)
-    return ranks if ranks.ndim else int(ranks)
-
-
-def _stack_ranks(stack, rel_tol: float) -> np.ndarray:
-    """The ranks of :func:`numerical_rank`, after all of its checks, from one SVD of ``stack``
-    as given: a ``(B, m, n)`` stack gives B ranks, a matrix a 0-d rank, so a shape error
-    names the caller's shape."""
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    a = _as_real(stack, "matrix entries")
+    a = _as_real(a, "matrix entries")
     if a.ndim not in (2, 3) or a.shape[-2] < 1 or a.shape[-1] < 1:
         raise ValueError(f"expected a 2-D matrix or a stack of matrices, got shape {a.shape}")
+    if a.size == 0:
+        return np.zeros(0, dtype=np.intp)
     s = np.linalg.svd(a, compute_uv=False)
     # a zero matrix has s[0] == 0, so none of its singular values counts
-    return np.count_nonzero(s > rel_tol * s[..., :1], axis=-1)
+    ranks = np.count_nonzero(s > rel_tol * s[..., :1], axis=-1)
+    return ranks if ranks.ndim else int(ranks)
 
 
 def _format_rows(rows: np.ndarray) -> str:

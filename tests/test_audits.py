@@ -1,7 +1,6 @@
 import importlib
 import inspect
 import threading
-import time
 from fractions import Fraction
 from functools import reduce, wraps
 from itertools import product
@@ -149,9 +148,11 @@ class TestRanks:
                                       (np.eye(2)[None], 0.0, "rel_tol")):
             with pytest.raises(ValueError, match=match):
                 _ranks(stack, [0.0], rel_tol)
-        # every matrix at or below its floor: the SVD decomposes nothing
-        monkeypatch.undo()
+        # every matrix at or below its floor: all ranks 0, no SVD call, and rel_tol still checked
         assert _ranks(np.zeros((2, 3, 3)), [0.0, 0.0], 1e-8) == [0, 0]
+        assert _ranks(np.stack([np.eye(2), 2.0 * np.eye(2)]), [1.0, 2.0], 1e-8) == [0, 0]
+        with pytest.raises(ValueError, match="rel_tol"):
+            _ranks(np.zeros((2, 3, 3)), [0.0, 0.0], 1.0)
 
 
 class TestDiffRankAudit:
@@ -610,15 +611,20 @@ class TestDefaultSuite:
     def test_equals_sequential_family_order(self, seed, rel_tol):
         assert default_suite(seed, rel_tol) == sequential_suite(seed, rel_tol)
 
-    def test_bad_rel_tol_is_refused_before_the_worker_starts(self, monkeypatch):
-        started = []
-        monkeypatch.setattr(threading.Thread, "start", started.append)
+    def test_bad_rel_tol_is_refused_before_any_svd(self, monkeypatch):
+        svd, shapes = np.linalg.svd, []
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
         for rel_tol in (0.0, 1.0, float("nan")):
             with pytest.raises(ValueError, match="rel_tol"):
                 default_suite(rel_tol=rel_tol)
-        assert started == []
+        assert shapes == []
 
-    def test_lifted_svd_failure_propagates_and_leaves_no_thread(self, monkeypatch):
+    def test_lifted_failure_propagates(self, monkeypatch):
         svd = np.linalg.svd
 
         def failing_svd(a, *args, **kwargs):
@@ -627,13 +633,12 @@ class TestDefaultSuite:
             return svd(a, *args, **kwargs)
 
         def nan_matrix(terms, ps):
-            # one matrix of the 4x4 grid, whose checks run on the worker, holds a NaN
+            # one matrix of the 4x4 grid's 234-matrix stack holds a NaN
             m = poly_operator_matrix(terms, ps)
             if terms == [(1.0, (2, 0)), (1.0, (0, 1))]:
                 m[0, 0] = np.nan
             return m
 
-        before = threading.active_count()
         for module, name, patch, error, match in (
                 (np.linalg, "svd", failing_svd, np.linalg.LinAlgError, "did not converge"),
                 (audits, "poly_operator_matrix", nan_matrix, ValueError, "finite")):
@@ -641,46 +646,14 @@ class TestDefaultSuite:
                 patched.setattr(module, name, patch)
                 with pytest.raises(error, match=match):
                     default_suite()
-            assert threading.active_count() == before
 
-    def test_slow_worker_is_joined_on_success(self, monkeypatch):
-        svd, finished = np.linalg.svd, []
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_starts_no_thread(self, monkeypatch, seed):
+        def refused(thread):
+            raise AssertionError(f"default_suite started thread {thread.name!r}")
 
-        def slow_svd(a, *args, **kwargs):
-            if a.shape[-1] == LIFTED_TOTAL:
-                time.sleep(0.2)
-                finished.append(True)
-            return svd(a, *args, **kwargs)
-
-        before = threading.active_count()
-        monkeypatch.setattr(np.linalg, "svd", slow_svd)
-        reports = default_suite()
-        assert finished == [True]
-        assert threading.active_count() == before
-        monkeypatch.undo()
-        assert reports == sequential_suite(42, 1e-8)
-
-    def test_error_on_the_calling_thread_waits_for_the_worker(self, monkeypatch):
-        svd, finished = np.linalg.svd, []
-
-        def slow_failing_svd(a, *args, **kwargs):
-            if a.shape[-1] != LIFTED_TOTAL:
-                return svd(a, *args, **kwargs)
-            time.sleep(0.2)
-            finished.append(True)
-            raise np.linalg.LinAlgError("SVD did not converge")
-
-        def failing_det(a, b):
-            raise RuntimeError("counterexample failed")
-
-        before = threading.active_count()
-        monkeypatch.setattr(np.linalg, "svd", slow_failing_svd)
-        monkeypatch.setattr(audits, "counterexample_det", failing_det)
-        # the calling thread's error wins, and only once the worker is done
-        with pytest.raises(RuntimeError, match="counterexample failed"):
-            default_suite()
-        assert finished == [True]
-        assert threading.active_count() == before
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        assert default_suite(seed) == sequential_suite(seed, 1e-8)
 
     def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
         calls, svd_calls, svd = [], [], np.linalg.svd
@@ -715,9 +688,9 @@ class TestDefaultSuite:
         reports = audits.default_suite()
         assert {ident for _, ident in calls} == {me}
         assert sum(name == "poly_operator_matrix" for name, _ in calls) == 235
-        # only the lifted family's stack is decomposed off the calling thread
-        assert [shape for shape, ident in svd_calls if ident != me] == [
-            (234, LIFTED_TOTAL, LIFTED_TOTAL)]
+        # every stack, the lifted family's 234 matrices included, is decomposed here
+        assert {ident for _, ident in svd_calls} == {me}
+        assert (234, LIFTED_TOTAL, LIFTED_TOTAL) in [shape for shape, _ in svd_calls]
         assert len(svd_calls) > 10
         assert reports == sequential_suite(42, 1e-8)
 

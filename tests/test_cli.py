@@ -65,6 +65,19 @@ class TestDiffmat:
         got = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
         np.testing.assert_array_equal(got, EXPECTED_Z012)
 
+    def test_only_a_node_file_name_is_looked_up(self, capsys, tmp_path, monkeypatch):
+        # a comma list is never a file name, so it costs no stat
+        exists, looked_up = os.path.exists, []
+        monkeypatch.setattr(os.path, "exists", lambda p: looked_up.append(p) or exists(p))
+        path = tmp_path / "nodes.txt"
+        path.write_text("0\n1\n2\n")
+        for nodes in ("0,1,2", str(path)):
+            status, out, _ = run_cli(capsys, "diffmat", "--nodes", nodes)
+            assert status == 0
+            got = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
+            np.testing.assert_array_equal(got, EXPECTED_Z012)
+        assert looked_up == [str(path)]
+
     @pytest.mark.parametrize("content, reason", [
         ("0\n2\n1\n", "strictly increasing"),
         ("0\nabc\n1\n", "could not convert"),

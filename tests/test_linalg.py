@@ -626,7 +626,9 @@ class TestNumericalRank:
         np.testing.assert_array_equal(numerical_rank(stack), [0, 1, 3, 2])
 
     def test_empty_stack(self):
-        assert numerical_rank(np.zeros((0, 3, 2))).shape == (0,)
+        for shape in ((0, 3, 3), (0, 3, 2)):
+            ranks = numerical_rank(np.zeros(shape))
+            assert ranks.shape == (0,) and ranks.dtype == numerical_rank(np.eye(2)[None]).dtype
 
     def test_stack_validation(self):
         with pytest.raises(ValueError, match="stack"):
