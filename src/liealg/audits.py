@@ -201,23 +201,18 @@ def counterexample_det(a, b):
     return float(det) if det.ndim == 0 else det
 
 
-def _lifted_matrices(cases, ps: list[Partition]) -> np.ndarray:
-    """The stack of ``poly_operator_matrix(terms, ps)`` of each term list, once the grid has
-    passed the size guard."""
+def _lifted_poly_reports(cases, ps: list[Partition], rel_tol: float) -> list[AuditReport]:
+    """Check the constant-term full-rank predicate of each term list on one grid against
+    the ``rel_tol`` rank of its ``poly_operator_matrix``, all decided by one
+    :func:`numerical_rank` call on their stack."""
     total = space_of(ps).total
     if total > MAX_LIFTED_TOTAL:
         raise ValueError(f"size guard: N={total} exceeds {MAX_LIFTED_TOTAL}")
     matrices = np.empty((len(cases), total, total))
     for i, terms in enumerate(cases):
         matrices[i] = poly_operator_matrix(terms, ps)
-    return matrices
-
-
-def _lifted_poly_reports(cases, ps: list[Partition], ranks, rel_tol: float) -> list[AuditReport]:
-    """Check the constant-term full-rank predicate of each term list on one grid against
-    the ``rel_tol`` rank of its matrix of :func:`_lifted_matrices`."""
-    total, reports = space_of(ps).total, []
-    for terms, rank in zip(cases, ranks):
+    reports = []
+    for terms, rank in zip(cases, numerical_rank(matrices, rel_tol).tolist()):
         label = "+".join([("%gz" + "%d" * len(e)) % (c, *e) for c, e in terms])
         reports.append(AuditReport(f"lifted_poly_rank[{label}]", full_rank_predicate(terms, ps),
                                    rank == total, rel_tol))
@@ -268,37 +263,23 @@ def _lifted_poly_family():
 
 
 def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
-    """The full audit suite; deterministic for a fixed seed.
-
-    Everything runs on the calling thread.  The lifted family draws no random numbers and
-    is decided first: its one-case 3x3 grid, which refuses a bad ``rel_tol`` before any
-    SVD, then its 234-matrix 4x4 stack in one :func:`_ranks` call.  A worker thread for
-    that stack gained no throughput on a 2-vCPU host and cost a second malloc arena.
-    """
-    ps2, constant = [Partition(np.arange(3.0)), Partition(np.arange(3.0))], [[(-7.0, (0, 0))]]
-    constant_reports = _lifted_poly_reports(
-        constant, ps2, _ranks(_lifted_matrices(constant, ps2), [0.0], rel_tol), rel_tol)
+    """The full audit suite, on the calling thread; deterministic for a fixed seed.  The
+    lifted family draws no random numbers and is decided first, while the heap is small;
+    its one-case 3x3 grid refuses a bad ``rel_tol`` before any SVD."""
+    ps2 = [Partition(np.arange(3.0)), Partition(np.arange(3.0))]
+    constant = _lifted_poly_reports([[(-7.0, (0, 0))]], ps2, rel_tol)
     # unit node spacing keeps norm(Z) of order one, so +-1 coefficients stay
     # within the decisive range of the rank threshold
     ps3 = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
-    cases = [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
-             *_lifted_poly_family()]
-    lifted = _lifted_poly_reports(cases, ps3, _ranks(_lifted_matrices(cases, ps3),
-                                                      [0.0] * len(cases), rel_tol), rel_tol)
-    reports = _seeded_families(seed, rel_tol)
-    return reports + lifted[:2] + constant_reports + lifted[2:]
-
-
-def _seeded_families(seed: int, rel_tol: float) -> list[AuditReport]:
-    """Every family of :func:`default_suite` but the lifted one, in its report order."""
+    lifted = _lifted_poly_reports(
+        [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
+         *_lifted_poly_family()], ps3, rel_tol)
     rng = np.random.default_rng(seed)
-    reports: list[AuditReport] = []
-
     diff_cases = [(np.array([0.0, 1.0]), "diff_"), (np.array([0.0, 1.0, 2.0]), "diff_")]
     for t in range(100):
         n = int(rng.integers(2, 11))
         diff_cases.append((_jittered_nodes(rng, n), f"diff_random{t:03d}_"))
-    reports += _diff_rank_reports(diff_cases, rel_tol)
+    reports = _diff_rank_reports(diff_cases, rel_tol)
 
     for label, h in (
         ("z01", diff_matrix(Partition(np.array([0.0, 1.0])))),
@@ -320,7 +301,7 @@ def _seeded_families(seed: int, rel_tol: float) -> list[AuditReport]:
     reports.append(AuditReport("counterexample_identity_20x20", True, deviation <= 1e-12, 1e-12))
     reports.append(AuditReport("counterexample_zero_at(1;0.5)", True,
                                abs(counterexample_det(1.0, 0.5)) <= 1e-12, 1e-12))
-    return reports
+    return reports + lifted[:2] + constant + lifted[2:]
 
 
 def reports_to_csv(reports: list[AuditReport]) -> str:

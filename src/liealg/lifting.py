@@ -115,8 +115,13 @@ def poly_operator_matrix(terms, ps: list[Partition]) -> np.ndarray:
     giving the per-dimension derivative orders of one monomial.  The
     coefficient is a scalar or a vector of grid values in star order; each
     term adds ``diag(c) @ kron(Z_d^{k_d}, ..., Z_1^{k_1})``, in the given order.
+    A term or a sum that overflows float64 raises ``ValueError``, with no NumPy warning.
     """
-    return _poly_matrix(terms, ps)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _poly_matrix(terms, ps)
+    except FloatingPointError as error:
+        raise ValueError(f"polynomial operator matrix overflows float64 ({error})") from None
 
 
 def full_rank_predicate(terms, ps: list[Partition]) -> bool:

@@ -15,7 +15,6 @@ from liealg.audits import (
     NILPOTENCY_TOL,
     AuditReport,
     _diff_rank_reports,
-    _lifted_matrices,
     _lifted_poly_family,
     _lifted_poly_reports,
     _poly_ranks,
@@ -113,12 +112,6 @@ def reference_poly_ranks(cases, rel_tol):
     if any(ranks[::2]):
         raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
     return ranks[1::2]
-
-
-def lifted_poly_reports(cases, ps, rel_tol):
-    """The lifted reports of one grid, assembled, ranked and reported on the calling thread."""
-    ranks = _ranks(_lifted_matrices(cases, ps), [0.0] * len(cases), rel_tol)
-    return _lifted_poly_reports(cases, ps, ranks, rel_tol)
 
 
 class TestRanks:
@@ -474,30 +467,30 @@ class TestLiftedPolyRankAudit:
     PS33 = [uniform_partition(0, 3, 3), uniform_partition(-1.5, 1.5, 3)]
 
     def test_full_rank_with_constant(self):
-        [report] = lifted_poly_reports([[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))]], self.PS33,
-                                        1e-8)
+        [report] = _lifted_poly_reports([[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))]], self.PS33,
+                                         1e-8)
         assert report.passed and report.expected is True
 
     def test_deficient_without_constant(self):
-        [report] = lifted_poly_reports([[(1.0, (2, 0)), (1.0, (0, 1))]], self.PS33, 1e-8)
+        [report] = _lifted_poly_reports([[(1.0, (2, 0)), (1.0, (0, 1))]], self.PS33, 1e-8)
         assert report.passed and report.expected is False
 
     def test_pure_constant(self):
         ps = [uniform_partition(0, 1, 2), uniform_partition(0, 1, 2)]
-        [report] = lifted_poly_reports([[(-7.0, (0, 0))]], ps, 1e-8)
+        [report] = _lifted_poly_reports([[(-7.0, (0, 0))]], ps, 1e-8)
         assert report.passed and report.expected is True
 
     def test_size_guard(self):
         ps = [uniform_partition(0, 1, 16), uniform_partition(0, 1, 16)]
         with pytest.raises(ValueError, match="size guard"):
-            lifted_poly_reports([[(1.0, (0, 0))]], ps, 1e-8)
+            _lifted_poly_reports([[(1.0, (0, 0))]], ps, 1e-8)
 
     def test_stacked_family_equals_per_case_calls(self):
         ps = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
         family = list(_lifted_poly_family())
-        reports = lifted_poly_reports(family, ps, 1e-8)
+        reports = _lifted_poly_reports(family, ps, 1e-8)
         assert len(reports) == 232
-        assert reports == [r for terms in family for r in lifted_poly_reports([terms], ps, 1e-8)]
+        assert reports == [r for terms in family for r in _lifted_poly_reports([terms], ps, 1e-8)]
         assert [r.observed for r in reports] == [
             numerical_rank(poly_operator_matrix(terms, ps)) == 16 for terms in family]
 
@@ -519,7 +512,7 @@ class TestLiftedPolyRankAudit:
         s = np.linalg.svd(matrices, compute_uv=False)
         with np.errstate(divide="ignore"):  # an exactly zero singular value is infinitely far
             assert np.abs(np.log10(s / (1e-8 * s[:, :1]))).min() > 3.0
-        reports = lifted_poly_reports(cases, ps, 1e-8)
+        reports = _lifted_poly_reports(cases, ps, 1e-8)
         assert all(r.passed for r in reports)
         assert [r.observed for r in reports] == [rank == 16 for rank in exact]
 
@@ -574,11 +567,11 @@ def sequential_suite(seed, rel_tol):
                 AuditReport("counterexample_zero_at(1;0.5)", True,
                             abs(counterexample_det(1.0, 0.5)) <= 1e-12, 1e-12)]
     ps3 = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
-    lifted = lifted_poly_reports(
+    lifted = _lifted_poly_reports(
         [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
          *_lifted_poly_family()], ps3, rel_tol)
     ps2 = [Partition(np.arange(3.0)), Partition(np.arange(3.0))]
-    return (reports + lifted[:2] + lifted_poly_reports([[(-7.0, (0, 0))]], ps2, rel_tol)
+    return (reports + lifted[:2] + _lifted_poly_reports([[(-7.0, (0, 0))]], ps2, rel_tol)
             + lifted[2:])
 
 
@@ -646,6 +639,24 @@ class TestDefaultSuite:
                 patched.setattr(module, name, patch)
                 with pytest.raises(error, match=match):
                     default_suite()
+
+    def test_lifted_stack_is_ranked_once_and_never_normed(self, monkeypatch):
+        # numerical_rank is the lifted family's one SVD kernel; no norm pass runs before it
+        ranked, normed = [], []
+
+        def recording(fn, shapes):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        expected = sequential_suite(42, 1e-8)
+        monkeypatch.setattr(audits, "numerical_rank", recording(numerical_rank, ranked))
+        monkeypatch.setattr(audits, "matrix_norm", recording(audits.matrix_norm, normed))
+        assert default_suite() == expected
+        lifted = (234, LIFTED_TOTAL, LIFTED_TOTAL)
+        assert ranked.count(lifted) == 1 and lifted not in normed
+        assert ranked.count((1, 9, 9)) == 1 and (1, 9, 9) not in normed
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_starts_no_thread(self, monkeypatch, seed):

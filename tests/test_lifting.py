@@ -314,6 +314,18 @@ class TestPolyOperatorMatrix:
         with pytest.raises(ValueError, match="d >= 1"):
             poly_operator_matrix([], [])
 
+    @pytest.mark.parametrize("terms, d", [
+        ([(1e308, (1,)), (1e308, (0,))], 1),        # a scaled monomial overflows
+        ([(1e308, (1, 0)), (1e308, (0, 1))], 2),    # the same on a 2-D grid
+        ([(1e308, (0,)), (1e308, (0,))], 1),        # finite terms, an infinite sum
+    ])
+    def test_overflow_raises_with_no_warning(self, terms, d):
+        # the pytest filters turn a RuntimeWarning into an error, which is not a ValueError
+        state = np.geterr()
+        with pytest.raises(ValueError, match="overflows float64"):
+            poly_operator_matrix(terms, [uniform_partition(0.0, 1.0, 3)] * d)
+        assert np.geterr() == state
+
 
 class TestGridEval:
     def test_constant(self):
