@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lifting import _grid_coordinates, grid_eval
-from .linalg import _as_real, _format_rows, _kron, lu_solve
+from .linalg import _as_real, _format_rows, lu_solve
 from .operators import _monomial, _poly_matrix
 from .partitions import Partition, uniform_partition
 
@@ -76,25 +76,16 @@ def error_metrics(approx, exact) -> tuple[float, float, float]:
     return float(err.sum()), float(err.max()), float(err.mean())
 
 
-# ascending-power coefficient vectors of p, q, r, s, as float64 arrays like polyval's
+# ascending-power coefficient vectors of p, q, r, s, as float64 arrays
 _P_COEFFS = np.array((0.0, -math.pi, 3.0, -2.0 / math.pi))
 _Q_COEFFS = np.array((-2.0 * math.pi, 12.0, -12.0 / math.pi))
 _R_COEFFS = np.array((6.0, -12.0 / math.pi - math.pi, 3.0, -2.0 / math.pi))
 _S_COEFFS = np.array((-2.0, 2.0 / math.pi))
 
 
-def _polyval(x, c):
-    """Horner's rule for ascending coefficients ``c`` at ``x``, in the operations of
-    ``numpy.polynomial.polynomial.polyval`` (so the same bits), without importing it."""
-    v = c[-1] + x * 0
-    for coeff in c[-2::-1]:
-        v = coeff + v * x
-    return v
-
-
 def two_point_coefficients(x):
     """Coefficient values (p, q, r, s) of the transformed 1-D equation at x."""
-    return tuple(_polyval(x, c) for c in (_P_COEFFS, _Q_COEFFS, _R_COEFFS, _S_COEFFS))
+    return tuple(np.polyval(c[::-1], x) for c in (_P_COEFFS, _Q_COEFFS, _R_COEFFS, _S_COEFFS))
 
 
 def _exact_two_point(x):
@@ -161,27 +152,29 @@ def _exact_hyperbolic(x, y):
 def _hyperbolic_system(ps: list[Partition]) -> tuple[np.ndarray, np.ndarray]:
     """Operator K of the substituted 2-D problem and the mask 1 - x^2 - y^2.
 
-    K is summed as mask * (Dx^2 - Dy^2 + y Dx) - 4x Dx + 4y Dy - 2xy, every
-    coordinate factor a row scaling by a grid vector.  The grouping is kept
-    as written: at 15x15 the solve amplifies a one-ulp change of K into a
-    change of Emax of the order of Emax itself.
+    K is summed as mask * (Dx^2 - Dy^2 + y Dx) - 4x Dx + 4y Dy - 2xy, the mask a
+    row scaling by a grid vector.  The grouping is kept as written: at 15x15
+    the solve amplifies a one-ulp change of K into a change of Emax of the
+    order of Emax itself.
 
-    Each Kronecker term is formed from the stored powers I, Z, Z^2 of each
-    partition into one scratch array and summed into K in place, so the
-    assembly holds two N x N arrays: fresh ones for every term would make
-    the heap trim and fault in their pages again on every solve.
+    Each term is one ``np.kron`` of the stored powers I, Z, Z^2 of each
+    partition, added into K in place, so the assembly holds two N x N arrays.
+    A coefficient of one coordinate scales that coordinate's factor before the
+    product, as in ``kron(y Zy^0, Zx)`` for y Dx.  Each such term has an
+    identity factor, so each entry is c z or a zero of the sign of c z in
+    either order: the bits, signed zeros included, of the row-scaled product.
     """
     x, y = _grid_coordinates(ps)
+    xs, ys = (p.nodes[:, None] for p in ps)
     mask = 1.0 - x * x - y * y
     zx, zy = ([_monomial([p], (k,)) for k in range(3)] for p in ps)
-    k = _kron([zx[2], zy[0]])
+    k = np.kron(zy[0], zx[2])
     k += 0.0  # a sum started from zeros: -0.0 becomes +0.0
-    scratch = np.empty_like(k)
-    k -= _kron([zx[0], zy[2]], out=scratch)
-    k += np.multiply(y[:, None], _kron([zx[1], zy[0]], out=scratch), out=scratch)
+    k -= np.kron(zy[2], zx[0])
+    k += np.kron(ys * zy[0], zx[1])
     k *= mask[:, None]
-    k -= np.multiply((4.0 * x)[:, None], _kron([zx[1], zy[0]], out=scratch), out=scratch)
-    k += np.multiply((4.0 * y)[:, None], _kron([zx[0], zy[1]], out=scratch), out=scratch)
+    k -= np.kron(zy[0], 4.0 * xs * zx[1])
+    k += np.kron(4.0 * ys * zy[1], zx[0])
     k.reshape(-1)[::k.shape[0] + 1] -= 2.0 * x * y
     return k, mask
 

@@ -1,4 +1,4 @@
-"""Dense real matrix arithmetic: the Kronecker and power kernels, pivoted LU, numerical rank."""
+"""Dense real matrix arithmetic: matrix powers, pivoted LU, numerical rank."""
 
 from __future__ import annotations
 
@@ -51,26 +51,6 @@ def as_vector(a) -> np.ndarray:
     if m.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {m.shape}")
     return m
-
-
-def _kron(factors, out=None) -> np.ndarray:
-    """kron(F_d, ..., F_1) of per-dimension factors (F_1, ..., F_d), by broadcasting.
-
-    Each step forms the same entrywise products, in the same order, as a chain
-    of NumPy ``kron`` calls, so the result is bit-identical (signed zeros
-    included) without NumPy's generic N-d overhead on small factors.  Given
-    two or more factors, ``out``, a C-contiguous float array of the product's
-    shape, receives the last step's products and is returned.
-    """
-    product = factors[-1]
-    for i in range(len(factors) - 2, -1, -1):
-        f = factors[i]
-        grid = (product.shape[0], f.shape[0], product.shape[1], f.shape[1])
-        step = out if i == 0 and out is not None else np.empty(
-            (grid[0] * grid[1], grid[2] * grid[3]))
-        np.multiply(product[:, None, :, None], f[None, :, None, :], out=step.reshape(grid))
-        product = step
-    return product
 
 
 def _powers(m: np.ndarray, top: int) -> np.ndarray:

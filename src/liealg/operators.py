@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from functools import reduce
 from math import isfinite, prod
 from operator import index
 
 import numpy as np
 
-from .linalg import _as_real, _kron, _powers, as_matrix
+from .linalg import _as_real, _powers, as_matrix
 from .partitions import Partition
 
 __all__ = [
@@ -122,7 +123,7 @@ def _monomial(ps: list[Partition], exponents) -> np.ndarray:
     # as_matrix rejects overflow, with no warning whether a kernel signals it or inf - inf
     with np.errstate(all="ignore"):
         if len(ps) > 1:
-            matrix = _kron([_monomial([p], (k,)) for p, k in zip(ps, exponents)])
+            matrix = reduce(np.kron, [_monomial([p], (k,)) for p, k in zip(ps, exponents)][::-1])
         elif exponents == (0,):
             matrix = np.eye(ps[0].n + 1)
         elif exponents == (1,):

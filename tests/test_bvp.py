@@ -22,12 +22,15 @@ from liealg.bvp import (
     solve_hyperbolic,
 )
 from liealg.lifting import _grid_coordinates, grid_eval, lifted_diff, poly_operator_matrix, realize
-from liealg.linalg import _kron, lu_solve
+from liealg.linalg import lu_solve
 from liealg.operators import diff_matrix
-from liealg.partitions import uniform_partition
+from liealg.partitions import jittered_partition, uniform_partition
 
 
 BIT_GRID = (4, 6, 9, 10, 15, 17, 20)
+# (n1, n2, seed): uniform grids on [-1, 1]^2 (seed None), then seeded jittered grids
+BIT_GRIDS = ([(n1, n2, None) for n1, n2 in product(BIT_GRID, repeat=2)]
+             + [(7, 12, 1), (12, 7, 2), (5, 19, 3), (16, 9, 4), (13, 13, 5), (20, 17, 6)])
 
 
 def reference_hyperbolic_system(ps):
@@ -36,8 +39,8 @@ def reference_hyperbolic_system(ps):
     principal part that forms its own y Dx."""
     x, y = _grid_coordinates(ps)
     mask = 1.0 - x * x - y * y
-    dx = _kron([diff_matrix(ps[0]), np.eye(ps[1].n + 1)])
-    dy = _kron([np.eye(ps[0].n + 1), diff_matrix(ps[1])])
+    dx = np.kron(np.eye(ps[1].n + 1), diff_matrix(ps[0]))
+    dy = np.kron(diff_matrix(ps[1]), np.eye(ps[0].n + 1))
     principal = poly_operator_matrix([(1.0, (2, 0)), (-1.0, (0, 2)), (y, (1, 0))], ps)
     k = (mask[:, None] * principal - (4.0 * x)[:, None] * dx + (4.0 * y)[:, None] * dy
          - np.diag(2.0 * x * y))
@@ -79,14 +82,55 @@ class TestCoefficients:
 
 @pytest.mark.parametrize("a", [TWO_POINT_LEFT, 0.0])
 def test_coefficients_are_numpy_polyval_bit_for_bit(a):
-    # the private Horner loop stands in for numpy.polynomial, which the package does not import
-    for n in range(2, 21):
-        x = uniform_partition(a, math.pi / 2.0, n).nodes
+    # np.polyval stands in for numpy.polynomial, which the package does not import; a
+    # Python float gives a NumPy scalar and a float32 array a float64 array, as there
+    xs = [uniform_partition(a, math.pi / 2.0, n).nodes for n in range(2, 21)]
+    xs += [a, -a, 0.7, np.linspace(-a, math.pi / 2.0, 9, dtype=np.float32)]
+    for x in xs:
         for got, c in zip(two_point_coefficients(x), (bvp._P_COEFFS, bvp._Q_COEFFS,
                                                       bvp._R_COEFFS, bvp._S_COEFFS)):
             expected = npoly.polyval(x, c)
+            assert type(got) is type(expected) and got.dtype == expected.dtype
             np.testing.assert_array_equal(got, expected)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+def signed_entries():
+    return st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def folding_case(draw):
+    """(c, A, B, side): a general factor and a factor of entries 0, -0, 1 and -1 (an
+    identity's entries and their negatives), in either order, and a coefficient vector
+    for the rows of the factor on ``side``, with +-0.0 among every input."""
+    (m, n), (p, q) = (draw(st.tuples(st.integers(1, 4), st.integers(1, 4))) for _ in range(2))
+    general = np.array(draw(st.lists(signed_entries(), min_size=m * n, max_size=m * n)))
+    unit = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                                  min_size=p * q, max_size=p * q)))
+    a, b = general.reshape(m, n), unit.reshape(p, q)
+    if draw(st.booleans()):
+        a, b = b, a
+    scaled = draw(st.sampled_from(["left", "right"]))
+    rows = a.shape[0] if scaled == "left" else b.shape[0]
+    c = np.array(draw(st.lists(signed_entries(), min_size=rows, max_size=rows)))
+    return c, a, b, scaled
+
+
+@given(folding_case())
+@settings(max_examples=300, deadline=None)
+def test_folded_coordinate_factor_is_the_row_scaled_product(case):
+    # the identity _hyperbolic_system rests on: a coefficient of one coordinate scales that
+    # coordinate's factor, and with the other or the scaled factor all 0s and +-1s the
+    # product has the row-scaled product's bits, signed zeros included
+    c, a, b, scaled = case
+    if scaled == "left":
+        got, rows = np.kron(c[:, None] * a, b), np.repeat(c, b.shape[0])
+    else:
+        got, rows = np.kron(a, c[:, None] * b), np.tile(c, a.shape[0])
+    expected = rows[:, None] * np.kron(a, b)
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
 
 
 class TestSolveTwoPoint:
@@ -243,9 +287,15 @@ class TestSolveHyperbolic:
         assert np.abs(k - expected).max() <= 1e-13 * scale
         np.testing.assert_array_equal(np.diag(mask_vector), mask)
 
-    @pytest.mark.parametrize("n1, n2", list(product(BIT_GRID, repeat=2)))
-    def test_assembly_bit_identical_to_reference(self, n1, n2):
-        ps = [uniform_partition(-1.0, 1.0, n1), uniform_partition(-1.0, 1.0, n2)]
+    @pytest.mark.parametrize("n1, n2, seed", BIT_GRIDS, ids=[
+        f"{n1}-{n2}" if seed is None else f"jittered{seed}-{n1}-{n2}" for n1, n2, seed in BIT_GRIDS])
+    def test_assembly_bit_identical_to_reference(self, n1, n2, seed):
+        if seed is None:
+            ps = [uniform_partition(-1.0, 1.0, n1), uniform_partition(-1.0, 1.0, n2)]
+        else:  # asymmetric intervals, and no node an exact zero
+            rng = np.random.default_rng(seed)
+            ps = [jittered_partition(rng, n1, -1.3, 0.9), jittered_partition(rng, n2, -0.8, 1.7)]
+            assert all(np.all(p.nodes != 0.0) for p in ps)
         k, mask = _hyperbolic_system(ps)
         expected_k, expected_mask = reference_hyperbolic_system(ps)
         for got, expected in ((k, expected_k), (mask, expected_mask)):
@@ -288,7 +338,7 @@ def traced_peak(f, *args):
 
 @pytest.mark.parametrize("n", [15, 20])
 def test_solve_peak_memory_in_n_squared_doubles(n):
-    # the assembly holds K and one scratch array; the solve holds the factors and the
+    # the assembly holds K and one Kronecker term; the solve holds the factors and the
     # update buffer or the inverse; a fresh array per term peaked above 5 N^2 doubles.
     # Factored in place, K is the factors, so the whole solve holds two N x N arrays
     unit = 8 * ((n + 1) ** 2) ** 2

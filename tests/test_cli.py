@@ -144,7 +144,7 @@ class TestDiffmat:
         assert child.stdout == (DATA / "diffmat_n20.txt").read_bytes()
 
     def test_import_leaves_out_numpy_polynomial(self):
-        # its import costs about 0.7 MB of RSS; the 1-D coefficients need only Horner's rule
+        # its import costs about 0.7 MB of RSS; the 1-D coefficients need only np.polyval
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = "import sys, liealg.cli; print('numpy.polynomial' in sys.modules)"

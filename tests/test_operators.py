@@ -3,6 +3,7 @@ import hashlib
 import math
 import warnings
 import weakref
+from functools import reduce
 
 import numpy as np
 import numpy.polynomial.polynomial as P
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from liealg.bvp import _hyperbolic_system
 from liealg.lifting import poly_operator_matrix
-from liealg.linalg import _kron, numerical_rank
+from liealg.linalg import numerical_rank
 from liealg.operators import (
     _diff_matrices,
     _monomial,
@@ -307,7 +308,7 @@ def fresh_kron_sum(terms, ps):
     for coeff, exponents in terms:
         factors = [np.linalg.matrix_power(diff_matrix(p), k) if k else np.eye(p.n + 1)
                    for p, k in zip(ps, exponents)]
-        product = _kron(factors)
+        product = reduce(np.kron, factors[::-1])
         out += (coeff[:, None] if np.ndim(coeff) else coeff) * product
     return out
 
