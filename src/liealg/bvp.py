@@ -92,17 +92,11 @@ def _exact_two_point(x):
     return np.sin(x) + 2.0 * np.cos(x)
 
 
-def solve_two_point(n: int, include_zero_endpoint: bool = False) -> BvpReport:
-    """Collocation solve of the transformed 1-D problem on n subintervals.
-
-    The partition covers [0.001, pi/2] (left endpoint shifted off 0, matching
-    the reference results); pass ``include_zero_endpoint=True`` to use
-    [0, pi/2] instead.  Both run fine; the flag only exists for comparison.
-    """
+def solve_two_point(n: int) -> BvpReport:
+    """Collocation solve of the transformed 1-D problem on n subintervals of [0.001, pi/2]."""
     if not 2 <= n <= MAX_N:
         raise ValueError(f"n must lie in 2..{MAX_N}, got {n}")
-    a = 0.0 if include_zero_endpoint else TWO_POINT_LEFT
-    part = uniform_partition(a, math.pi / 2.0, n)
+    part = uniform_partition(TWO_POINT_LEFT, math.pi / 2.0, n)
     x = part.nodes
     p, q, r, s = two_point_coefficients(x)
     v, rcond = lu_solve(_poly_matrix([(r, (0,)), (q, (1,)), (p, (2,))], [part]), s,

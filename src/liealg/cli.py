@@ -38,7 +38,6 @@ class RunConfig:
     n2: int | None = None
     out: str | None = None
     rel_tol: float = 1e-8
-    include_zero_endpoint: bool = False
     seed: int = 42
 
 
@@ -49,6 +48,8 @@ def _resolve_dims(config: RunConfig) -> tuple[int, int]:
 
 def _partition_from_config(config: RunConfig) -> Partition:
     nodes = config.nodes
+    if nodes and config.n is not None:
+        raise ConfigError("diffmat takes --nodes or --a/--b/--n, not both")
     if nodes and "," not in nodes and os.path.exists(nodes):
         try:
             return read_partition(nodes)
@@ -98,8 +99,7 @@ def _rank_audit(config: RunConfig) -> tuple[int, str]:
 def _table1(config: RunConfig) -> tuple[int, str]:
     lines = [TABLE_HEADER]
     for n in (4, 8, 12, 16):
-        lines.append(_table_row(
-            "lie", str(n), bvp.solve_two_point(n, config.include_zero_endpoint)))
+        lines.append(_table_row("lie", str(n), bvp.solve_two_point(n)))
     for n in (4, 8, 12, 16):
         lines.append(_table_row("shooting", str(n), bvp.shooting_two_point(n)))
     return 0, "\n".join(lines) + "\n"
@@ -144,12 +144,8 @@ SETTINGS = {
     "out": (str, tuple(COMMANDS), "output file (default: stdout)"),
     "rel_tol": (float, ("rank-audit",),
                 f"relative rank threshold in (0, 1) (default: {RunConfig.rel_tol:g})"),
-    "include_zero_endpoint": (bool, ("table1",),
-                              f"solve on [0, pi/2], not [{bvp.TWO_POINT_LEFT:g}, pi/2]"),
     "seed": (int, (), None),
 }
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -167,13 +163,10 @@ def _parse_config_file(path: str) -> dict:
                 key, value = key.strip().replace("-", "_"), value.strip()
                 if key not in SETTINGS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                kind = SETTINGS[key][0]
                 try:
-                    values[key] = _BOOLEANS[value.lower()] if kind is bool else kind(value)
-                except (KeyError, ValueError) as exc:
-                    hint = f" (expected one of {', '.join(_BOOLEANS)})" if kind is bool else ""
-                    raise ConfigError(
-                        f"{path}:{lineno}: bad value for {key}: {value!r}{hint}") from exc
+                    values[key] = SETTINGS[key][0](value)
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -190,8 +183,7 @@ def build_config(argv: list[str] | None) -> RunConfig:
         p = sub.add_parser(command, help=command_help)
         for key, (kind, commands, flag_help) in SETTINGS.items():
             if command in commands:
-                kw = dict(action="store_true", default=None) if kind is bool else dict(type=kind)
-                p.add_argument("--" + key.replace("_", "-"), help=flag_help, **kw)
+                p.add_argument("--" + key.replace("_", "-"), type=kind, help=flag_help)
         p.add_argument("--config", help="key=value file; explicit flags win")
 
     args = parser.parse_args(argv)

@@ -17,6 +17,7 @@ __all__ = [
 
 # refuse Z once max|pi_j| / min|pi_k| * eps, about its error on smooth data, passes this
 MAX_PREDICTED_ERROR = 1e-4
+_TINY = np.finfo(float).tiny  # the smallest normal float64
 
 
 def diff_matrix(p: Partition) -> np.ndarray:
@@ -32,8 +33,9 @@ def diff_matrix(p: Partition) -> np.ndarray:
     it returns the exact nodal derivatives; its (n+1)-th power vanishes.
 
     Raises ``ValueError`` when an entry comes out infinite or NaN (e.g. 1001 uniform nodes
-    on [-1, 1]), or when max|pi_j| / min|pi_k| * eps, about Z's error on smooth data,
-    exceeds ``MAX_PREDICTED_ERROR`` (43 uniform nodes on any interval).
+    on [-1, 1]), when max|pi_j| / min|pi_k| * eps, about Z's error on smooth data,
+    exceeds ``MAX_PREDICTED_ERROR`` (43 uniform nodes on any interval), or when a partial
+    product of a pi-weight underflows float64 (771 Chebyshev-Lobatto nodes on [-1, 1]).
 
     The store on ``p`` builds it once and keeps it, read-only, from first use, so
     later calls return the same array.  A failure is not stored, so it repeats.
@@ -52,6 +54,11 @@ def _diff_matrices(nodes: np.ndarray) -> np.ndarray:
         # 1 on the diagonal: the factor pi_j omits, and a divisor for Z's placeholder diagonal
         diff.reshape(-1, m * m)[:, ::m + 1] = 1.0
         pi = diff.prod(axis=-1)
+        # each factor is at least min(1, gap), so above this bound no partial product of pi
+        # underflows; cumprod ends in prod's result bit for bit (tested), so it sees them
+        gap = -diff.reshape(-1, m * m)[:, 1::m + 1].max()  # the superdiagonal holds -gaps
+        underflow = (min(1.0, gap) ** (m - 1) < 2.0 * _TINY
+                     and np.abs(np.cumprod(diff, axis=-1)).min() < _TINY)
         ratios = pi[:, :, None] / pi[:, None, :]
         z = ratios / diff
         spread = np.abs(ratios, out=ratios).max()  # max|pi_j| / min|pi_k| over every row
@@ -66,6 +73,9 @@ def _diff_matrices(nodes: np.ndarray) -> np.ndarray:
         raise ValueError(f"differentiation matrix of {m} nodes is ill-conditioned: the "
                          f"pi-weights spread by {spread:.1e}, so its error is about "
                          f"{predicted:.1e}, beyond {MAX_PREDICTED_ERROR:.0e}")
+    if underflow:
+        raise ValueError(f"differentiation matrix of {m} nodes is inaccurate: a partial "
+                         "product of the pi-weights underflows float64")
     return z
 
 

@@ -64,30 +64,28 @@ def uniform_partition(a: float, b: float, n: int) -> Partition:
 
 
 def jittered_partition(rng: np.random.Generator, n: int, a: float = 0.0,
-                       b: float = 1.0, max_shift: float = 0.3) -> Partition:
+                       b: float = 1.0) -> Partition:
     """Random partition: equispaced grid with interior nodes shifted by up to
-    ``max_shift`` of the spacing.
+    0.3 of the spacing.
 
     Bounded shifts keep adjacent gaps within a factor of a few of each other,
     so pi-weight ratios stay moderate and rank thresholds remain decisive in
     float64.  (Sorting i.i.d. uniform draws instead produces occasional node
     clusters whose differentiation matrices defeat any fixed tolerance.)
     """
-    return Partition(_jittered_nodes(rng, n, a, b, max_shift))
+    return Partition(_jittered_nodes(rng, n, a, b))
 
 
-def _jittered_nodes(rng: np.random.Generator, n: int, a: float = 0.0, b: float = 1.0,
-                    max_shift: float = 0.3) -> np.ndarray:
+def _jittered_nodes(rng: np.random.Generator, n: int, a: float = 0.0,
+                    b: float = 1.0) -> np.ndarray:
     """The nodes of :func:`jittered_partition`, from the same draws, unchecked; a bad
-    ``n``, ``max_shift`` or span raises before any draw."""
+    ``n`` or span raises before any draw."""
     n = index(n)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if not 0.0 <= max_shift < 0.5:
-        raise ValueError("max_shift must lie in [0, 0.5)")
     h = _span(a, b) / n
     nodes = a + h * np.arange(n + 1, dtype=float)
-    nodes[1:-1] += h * rng.uniform(-max_shift, max_shift, size=n - 1)
+    nodes[1:-1] += h * rng.uniform(-0.3, 0.3, size=n - 1)
     nodes[-1] = b
     return nodes
 

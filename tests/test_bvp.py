@@ -139,11 +139,6 @@ class TestSolveTwoPoint:
             report = solve_two_point(n)
             assert abs(report.u_sigma[-1] - 1.0) <= 1e-12
 
-    def test_both_boundaries_with_zero_endpoint(self):
-        report = solve_two_point(8, include_zero_endpoint=True)
-        assert abs(report.u_sigma[0] - 2.0) <= 1e-12
-        assert abs(report.u_sigma[-1] - 1.0) <= 1e-12
-
     def test_errors_shrink_with_refinement(self):
         errors = [solve_two_point(n).error_sum for n in (4, 8, 12, 16)]
         assert all(a > b for a, b in zip(errors, errors[1:]))

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -30,7 +31,7 @@ DATA = Path(__file__).parent / "data"
 FLAGS = {
     "diffmat": {"--nodes", "--a", "--b", "--n", "--out", "--config"},
     "rank-audit": {"--rel-tol", "--out", "--config"},
-    "table1": {"--include-zero-endpoint", "--out", "--config"},
+    "table1": {"--out", "--config"},
     "table3": {"--n1", "--n2", "--out", "--config"},
     "plot-figure1": {"--n1", "--n2", "--out", "--config"},
 }
@@ -177,6 +178,34 @@ class TestDiffmat:
         status, out, err = run_cli(capsys, "diffmat")
         assert status == 2
         assert err.count("\n") == 1 and "diffmat" in err
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_nodes_with_n_is_config_error(self, capsys, tmp_path, from_file):
+        # a dump of the nodes alone would drop --n with no word
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text("0\n1\n")
+        if from_file:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"nodes={nodes}\nn=3\n")
+            argv = ["diffmat", "--config", str(cfg)]
+        else:
+            argv = ["diffmat", "--nodes", "0,1", "--n", "3"]
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 2 and out == ""
+        assert err == "liealg: diffmat takes --nodes or --a/--b/--n, not both\n"
+
+    def test_underflowing_pi_weight_products_are_an_error(self, capsys, tmp_path):
+        # Chebyshev-Lobatto nodes on [-1, 1], rounded to 12 digits: 801 are refused, 761 not
+        def write(n):
+            path = tmp_path / f"chebyshev{n + 1}.txt"
+            path.write_text("".join(f"{round(-math.cos(math.pi * i / n), 12)!r}\n"
+                                    for i in range(n + 1)))
+            return str(path)
+        status, out, err = run_cli(capsys, "diffmat", "--nodes", write(800))
+        assert status == 1 and out == ""
+        assert err.startswith("liealg: differentiation matrix of 801 nodes is inaccurate")
+        status, out, _ = run_cli(capsys, "diffmat", "--nodes", write(760))
+        assert status == 0 and len(out.splitlines()) == 761
 
 
 class TestTable1:
@@ -367,20 +396,19 @@ class TestConfigFile:
         assert status == 2 and out == ""
         assert err == f"liealg: {cfg}:2: unknown key 'nn'\n"
 
-    def test_bad_boolean_is_config_error(self, capsys, tmp_path):
+    def test_zero_endpoint_key_is_unknown(self, capsys, tmp_path):
+        # table1 runs on [0.001, pi/2] alone; the switch to [0, pi/2] is gone
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("include_zero_endpoint=maybe\n")
+        cfg.write_text("include_zero_endpoint=1\n")
         status, out, err = run_cli(capsys, "table1", "--config", str(cfg))
         assert status == 2 and out == ""
-        assert err.startswith(f"liealg: {cfg}:1: bad value for include_zero_endpoint: 'maybe'")
+        assert err == f"liealg: {cfg}:1: unknown key 'include_zero_endpoint'\n"
 
-    @pytest.mark.parametrize("value, flag", [("yes", True), ("On", True), ("0", False),
-                                             ("false", False)])
-    def test_boolean_words(self, tmp_path, value, flag):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"include-zero-endpoint={value}\n")
-        config = build_config(["table1", "--config", str(cfg)])
-        assert config.include_zero_endpoint is flag
+    def test_zero_endpoint_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--include-zero-endpoint"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --include-zero-endpoint" in capsys.readouterr().err
 
     def test_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -395,6 +423,13 @@ class TestConfigFile:
         status, out, _ = run_cli(capsys, "table3", "--config", str(cfg), "--n1", "6")
         rows = parse_csv(out)
         assert status == 0 and [r["n"] for r in rows] == ["6x5"]
+
+    def test_bad_value_is_config_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n1=5\nn2=five\n")
+        status, out, err = run_cli(capsys, "table3", "--config", str(cfg))
+        assert status == 2 and out == ""
+        assert err == f"liealg: {cfg}:2: bad value for n2: 'five'\n"
 
     def test_malformed_line_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -449,15 +484,6 @@ class TestConfigFile:
         assert run_cli(capsys, "diffmat", "--n", "1")[0] == 0
         status, _, err = run_cli(capsys, "diffmat", "--n", "0")
         assert status == 2 and "n must lie in 1..20" in err
-
-    def test_bool_flag_wins_over_file_and_its_absence_does_not(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("include_zero_endpoint=no\n")
-        assert build_config(["table1", "--config", str(cfg), "--include-zero-endpoint"]
-                            ).include_zero_endpoint is True
-        cfg.write_text("include_zero_endpoint=yes\n")
-        assert build_config(["table1", "--config", str(cfg)]).include_zero_endpoint is True
-        assert build_config(["table1"]).include_zero_endpoint is False
 
     def test_seed_precedence_file_then_env_then_default(self, monkeypatch, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -118,19 +118,18 @@ def chebyshev_row(n: int) -> np.ndarray:
 def pinned_node_stacks():
     """Per n = 1..40 a stack of a uniform row on [0, 1], a jittered row on [-2, 1] and a
     jittered row on the wide interval [-1e3, 1e3]; then Chebyshev-Lobatto rows for
-    n = 700, 750, 800, where 123 rows of pi-weight partial products at n = 800 pass
-    through subnormals although every weight is normal."""
+    n = 700 and 750, 122 rows in all."""
     for n in range(1, 41):
         rng = np.random.default_rng(n)
         yield np.stack([np.linspace(0.0, 1.0, n + 1), _jittered_nodes(rng, n, -2.0, 1.0),
                         _jittered_nodes(rng, n, -1e3, 1e3)])
-    for n in (700, 750, 800):
+    for n in (700, 750):
         yield chebyshev_row(n)
 
 
-# sha256 of the Z bytes of pinned_node_stacks(), recorded when the pi-weights were
-# formed by a function of their own, before they moved into the Z kernel
-PINNED_Z_SHA256 = "cc6b2034057cbecddec14a2516ec56b1c6e18901149853a400c3a60f726575ef"
+# sha256 of the Z bytes of pinned_node_stacks(): the bytes recorded when the pi-weights
+# were formed by a function of their own, hashed without the n = 800 row, now refused
+PINNED_Z_SHA256 = "94fa8f1ef046eea28249e70b2264558519ea3eb6082e144774d882c40d5d8ce9"
 
 
 def reference_diff_matrix(x):
@@ -216,6 +215,30 @@ class TestDiffMatrices:
         for rows, m in ((np.linspace(-1.0, 1.0, 1001)[None], 1001), (chebyshev_row(900), 901)):
             with pytest.raises(ValueError, match=f"{m} nodes is not finite"):
                 _diff_matrices(rows)
+        # 123 rows of pi-weight partial products pass through subnormals, although every
+        # weight is normal; unrefused, Z @ sin is off from cos by 39.8
+        with pytest.raises(ValueError, match="801 nodes is inaccurate"):
+            _diff_matrices(chebyshev_row(800))
+
+    def test_cumprod_sees_the_partial_products_of_prod(self):
+        # the underflow check reads the partials of the pi-weights through cumprod
+        for rows in (chebyshev_row(770), chebyshev_row(800), np.stack([
+                np.linspace(-1.0, 1.0, 21), _jittered_nodes(np.random.default_rng(3), 20)])):
+            m = rows.shape[-1]
+            diff = rows[:, :, None] - rows[:, None, :]
+            diff.reshape(-1, m * m)[:, ::m + 1] = 1.0
+            assert_same_bits(np.cumprod(diff, axis=-1)[..., -1], diff.prod(axis=-1))
+
+    @pytest.mark.parametrize("n", [700, 750, 760, 770, 780, 800, 850])
+    def test_chebyshev_nodes_give_an_accurate_z_or_an_error(self, n):
+        # accepted up to 770 nodes, refused from 771 as partials underflow and from 847 as
+        # the pi-weights spread; unrefused, Z @ sin was off by 1.4e-4 at 786 nodes, 39.8 at 801
+        x = chebyshev_row(n)
+        try:
+            z = _diff_matrices(x)[0]
+        except ValueError:
+            return
+        assert np.abs(z @ np.sin(x[0]) - np.cos(x[0])).max() <= 1e-6
 
 
 class TestDiffMatrixProperties:
@@ -291,9 +314,9 @@ class TestDiffPowerPerPartition:
         np.testing.assert_array_equal(power(first, 2), power(second, 2))
 
     def test_overflowing_power_raises_each_call_and_is_not_stored(self):
-        # Z has entries of 2e160, so Z^2 overflows float64: a ValueError, and no warning
+        # Z has entries of +-1e160, so Z^2 overflows float64: a ValueError, and no warning
         # (the pytest configuration makes a RuntimeWarning an error) on any BLAS kernel
-        p = Partition(np.array([0.0, 1e-160, 2e-160]))
+        p = Partition(np.array([0.0, 1e-160]))
         assert np.all(np.isfinite(diff_matrix(p)))
         for _ in range(2):
             with pytest.raises(ValueError, match="finite"):
@@ -391,9 +414,9 @@ class TestLiftedMonomialStore:
 
     @pytest.mark.parametrize("position", [0, 1])
     def test_overflowing_power_raises_each_call_and_is_not_stored(self, position):
-        # Z has entries of 2e160, so Z^2 overflows float64: a ValueError, and no warning
+        # Z has entries of +-1e160, so Z^2 overflows float64: a ValueError, and no warning
         ps = [uniform_partition(0.0, 1.0, 2), uniform_partition(0.0, 1.0, 3)]
-        ps[position] = Partition(np.array([0.0, 1e-160, 2e-160]))
+        ps[position] = Partition(np.array([0.0, 1e-160]))
         for _ in range(3):
             with pytest.raises(ValueError, match="finite"):
                 poly_operator_matrix([(1.0, (2, 2))], ps)
@@ -401,8 +424,8 @@ class TestLiftedMonomialStore:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_product_raises_each_call_and_is_not_stored(self):
-        # each Z is finite, with entries of 2e160, but Z x Z overflows float64
-        nodes = np.array([0.0, 1e-160, 2e-160])
+        # each Z is finite, with entries of +-1e160, but Z x Z overflows float64
+        nodes = np.array([0.0, 1e-160])
         ps = [Partition(nodes), Partition(nodes)]
         for _ in range(3):
             with pytest.raises(ValueError, match="matrix entries must be finite"):
@@ -413,12 +436,15 @@ class TestLiftedMonomialStore:
     @pytest.mark.parametrize("exponents, root", [((1, 1), 2), ((1, 0, 1), 2), ((1, 1, 1), 3)])
     def test_overflow_check_is_exact_at_the_boundary(self, exponents, root):
         # spacings around the one where the product's largest entry reaches the largest float:
-        # the monomial raises exactly when a full entrywise product holds an infinite entry
-        edge = 2.0 / np.finfo(float).max ** (1.0 / root)  # Z[1, 0] = -2/h is its largest
+        # the monomial raises exactly when a full entrywise product holds an infinite entry.
+        # Z of [0, h] has entries +-1/h; Z of [0, h, 2h] has 2/h as its largest, but at
+        # root 2 its pi-weights, about h^2, would be subnormal, and Z is refused
+        nodes = np.array([0.0, 1.0]) if root == 2 else np.array([0.0, 1.0, 2.0])
+        edge = (nodes.size - 1) / np.finfo(float).max ** (1.0 / root)
         outcomes = set()
         for step in range(-40, 41):
             h = edge * (1.0 + step * 2.0**-50)
-            ps = [Partition(np.array([0.0, h, 2.0 * h])) for _ in exponents]
+            ps = [Partition(h * nodes) for _ in exponents]
             with np.errstate(over="ignore"):
                 overflows = not np.isfinite(fresh_kron_sum([(1.0, exponents)], ps)).all()
             if overflows:
