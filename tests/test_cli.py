@@ -396,19 +396,26 @@ class TestConfigFile:
         assert status == 2 and out == ""
         assert err == f"liealg: {cfg}:2: unknown key 'nn'\n"
 
-    def test_zero_endpoint_key_is_unknown(self, capsys, tmp_path):
-        # table1 runs on [0.001, pi/2] alone; the switch to [0, pi/2] is gone
+    def test_bad_boolean_is_config_error(self, capsys, tmp_path):
+        # table1 runs on [0.001, pi/2] alone; the switch to [0, pi/2] is an unknown key
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("include_zero_endpoint=1\n")
+        cfg.write_text("include_zero_endpoint=maybe\n")
         status, out, err = run_cli(capsys, "table1", "--config", str(cfg))
         assert status == 2 and out == ""
         assert err == f"liealg: {cfg}:1: unknown key 'include_zero_endpoint'\n"
 
-    def test_zero_endpoint_flag_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["table1", "--include-zero-endpoint"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --include-zero-endpoint" in capsys.readouterr().err
+    @pytest.mark.parametrize("value, dashed", [("yes", True), ("On", True), ("0", False),
+                                               ("false", False), ("1", False)])
+    def test_boolean_words(self, capsys, tmp_path, value, dashed):
+        # no setting is a switch: a word that once turned the zero endpoint on or off is
+        # refused with its key, in either spelling of the key
+        key = "include-zero-endpoint" if dashed else "include_zero_endpoint"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        status, out, err = run_cli(capsys, "table1", "--config", str(cfg))
+        assert status == 2 and out == ""
+        assert err == f"liealg: {cfg}:1: unknown key 'include_zero_endpoint'\n"
+        assert all(kind is not bool for kind, _, _ in SETTINGS.values())
 
     def test_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -484,6 +491,21 @@ class TestConfigFile:
         assert run_cli(capsys, "diffmat", "--n", "1")[0] == 0
         status, _, err = run_cli(capsys, "diffmat", "--n", "0")
         assert status == 2 and "n must lie in 1..20" in err
+
+    def test_bool_flag_wins_over_file_and_its_absence_does_not(self, capsys, monkeypatch,
+                                                                tmp_path):
+        # the removed flag is a usage error before the file is read; without it the file's
+        # key is the error, and without either table1 builds on its one interval
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("include_zero_endpoint=no\n")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table1", "--config", str(cfg), "--include-zero-endpoint"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --include-zero-endpoint" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="unknown key 'include_zero_endpoint'"):
+            build_config(["table1", "--config", str(cfg)])
+        monkeypatch.delenv("LIEALG_SEED", raising=False)
+        assert build_config(["table1"]) == RunConfig("table1")
 
     def test_seed_precedence_file_then_env_then_default(self, monkeypatch, tmp_path):
         cfg = tmp_path / "run.cfg"

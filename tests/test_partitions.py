@@ -160,19 +160,20 @@ def test_jittered_nodes_keep_their_bits_for_n_1_to_12():
         JITTERED_NODES_1_TO_12_SHA256
 
 
-@pytest.mark.parametrize("n, error, match", [
-    (0, ValueError, "n >= 1"),
-    (-1, ValueError, "n >= 1"),
-    (np.int64(0), ValueError, "n >= 1"),
-    (2.0, TypeError, "integer"),
-    (1.5, TypeError, "integer"),
+@pytest.mark.parametrize("n, b, error, match", [
+    (0, 0.3, ValueError, "n >= 1"),
+    (-1, 0.3, ValueError, "n >= 1"),
+    (np.int64(0), 0.3, ValueError, "n >= 1"),
+    (2.0, 0.3, TypeError, "integer"),
+    (1.5, 0.3, TypeError, "integer"),
 ])
-def test_jittered_rejects_bad_input_before_any_draw(n, error, match):
+def test_jittered_rejects_bad_input_before_any_draw(n, b, error, match):
+    # [0, b] is a good interval, so only n is at fault
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
     for make in (jittered_partition, _jittered_nodes):
         with pytest.raises(error, match=match):
-            make(rng, n)
+            make(rng, n, 0.0, b)
     assert rng.bit_generator.state == state
 
 
