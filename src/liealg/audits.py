@@ -307,12 +307,7 @@ def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
 def reports_to_csv(reports: list[AuditReport]) -> str:
     lines = ["caseName,expected,observed,tolerance,pass"]
     for r in reports:
-        lines.append(f"{r.case_name},{_fmt(r.expected)},{_fmt(r.observed)},"
-                     f"{r.tolerance:.4e},{_fmt(r.passed)}")
+        # expected and observed are int or bool, so lowercasing spells only the bools
+        lines.append(f"{r.case_name},{str(r.expected).lower()},{str(r.observed).lower()},"
+                     f"{r.tolerance:.4e},{str(r.passed).lower()}")
     return "\n".join(lines) + "\n"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 
 import numpy as np
 
@@ -27,20 +27,6 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    nodes: str | None = None
-    a: float = 0.0
-    b: float = 1.0
-    n: int | None = None
-    n1: int | None = None
-    n2: int | None = None
-    out: str | None = None
-    rel_tol: float = 1e-8
-    seed: int = 42
-
-
 def _resolve_dims(config: RunConfig) -> tuple[int, int]:
     # a missing size copies the other; a validated size is at least MIN_N_2D, never 0
     return config.n1 or config.n2 or DEFAULT_N_2D, config.n2 or config.n1 or DEFAULT_N_2D
@@ -48,22 +34,21 @@ def _resolve_dims(config: RunConfig) -> tuple[int, int]:
 
 def _partition_from_config(config: RunConfig) -> Partition:
     nodes = config.nodes
-    if nodes and config.n is not None:
-        raise ConfigError("diffmat takes --nodes or --a/--b/--n, not both")
-    if nodes and "," not in nodes and os.path.exists(nodes):
+    if (nodes is None) == (config.n is None):
+        raise ConfigError("diffmat takes exactly one of --nodes and --n")
+    if nodes is None:
+        return uniform_partition(0.0, 1.0, config.n)
+    if "," not in nodes and os.path.exists(nodes):
         try:
             return read_partition(nodes)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"bad node file {nodes}: {exc}") from exc
-    if not nodes and config.n is None:
-        raise ConfigError("diffmat needs --nodes or --a/--b/--n")
     try:
-        values = [float(v) for v in nodes.split(",")] if nodes else None
+        values = [float(v) for v in nodes.split(",")]
     except ValueError as exc:
         raise ConfigError(f"bad node list {nodes!r}") from exc
     try:
-        return (Partition(np.array(values)) if nodes
-                else uniform_partition(config.a, config.b, config.n))
+        return Partition(np.array(values))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -132,20 +117,22 @@ COMMANDS = {
 }
 _GRID_SIZE = (f"{MIN_N_2D}..{MAX_N}; a missing size copies the other (default: {DEFAULT_N_2D}; "
               "table3 without either runs its two reference grids)")
-# every RunConfig field but the command: (value type, the commands that take it
-# as a flag, flag help); a --config file may set any of them
+# each setting: (value type, default, the commands that take it as a flag, flag help);
+# a --config file may set any of them
 SETTINGS = {
-    "nodes": (str, ("diffmat",), "comma-separated node list, or a file with one node per line"),
-    "a": (float, ("diffmat",), f"left end for --n, finite, below --b (default: {RunConfig.a:g})"),
-    "b": (float, ("diffmat",), f"right end for --n, finite, above --a (default: {RunConfig.b:g})"),
-    "n": (int, ("diffmat",), f"subintervals of a uniform partition, 1..{MAX_N}"),
-    "n1": (int, ("table3", "plot-figure1"), f"subintervals in x, {_GRID_SIZE}"),
-    "n2": (int, ("table3", "plot-figure1"), f"subintervals in y, {_GRID_SIZE}"),
-    "out": (str, tuple(COMMANDS), "output file (default: stdout)"),
-    "rel_tol": (float, ("rank-audit",),
-                f"relative rank threshold in (0, 1) (default: {RunConfig.rel_tol:g})"),
-    "seed": (int, (), None),
+    "nodes": (str, None, ("diffmat",),
+              "comma-separated node list, or a file with one node per line"),
+    "n": (int, None, ("diffmat",), f"subintervals of a uniform partition of [0, 1], 1..{MAX_N}"),
+    "n1": (int, None, ("table3", "plot-figure1"), f"subintervals in x, {_GRID_SIZE}"),
+    "n2": (int, None, ("table3", "plot-figure1"), f"subintervals in y, {_GRID_SIZE}"),
+    "out": (str, None, tuple(COMMANDS), "output file (default: stdout)"),
+    "rel_tol": (float, 1e-8, ("rank-audit",), "relative rank threshold in (0, 1)"),
+    "seed": (int, 42, (), None),
 }
+# the command, then one field per setting; the namespace lets 3.10 and 3.11 pickle it by name
+RunConfig = make_dataclass("RunConfig", ["command", *(
+    (key, kind, default) for key, (kind, default, _, _) in SETTINGS.items())],
+    namespace={"__module__": __name__})
 
 
 def _parse_config_file(path: str) -> dict:
@@ -181,8 +168,10 @@ def build_config(argv: list[str] | None) -> RunConfig:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (command_help, _) in COMMANDS.items():
         p = sub.add_parser(command, help=command_help)
-        for key, (kind, commands, flag_help) in SETTINGS.items():
+        for key, (kind, default, commands, flag_help) in SETTINGS.items():
             if command in commands:
+                if default is not None:
+                    flag_help += f" (default: {default})"
                 p.add_argument("--" + key.replace("_", "-"), type=kind, help=flag_help)
         p.add_argument("--config", help="key=value file; explicit flags win")
 

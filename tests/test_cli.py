@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -27,9 +28,9 @@ from liealg.partitions import _jittered_nodes
 
 DATA = Path(__file__).parent / "data"
 
-# each command's flags besides -h/--help, as the command line has always taken them
+# each command's flags besides -h/--help
 FLAGS = {
-    "diffmat": {"--nodes", "--a", "--b", "--n", "--out", "--config"},
+    "diffmat": {"--nodes", "--n", "--out", "--config"},
     "rank-audit": {"--rel-tol", "--out", "--config"},
     "table1": {"--out", "--config"},
     "table3": {"--n1", "--n2", "--out", "--config"},
@@ -43,6 +44,15 @@ def run_cli(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def assert_usage_error(capsys, argv, message):
+    # argparse refuses the command line with exit 2 before any work, printing no output
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2 and captured.out == ""
+    assert message in captured.err
 
 
 def parse_csv(text):
@@ -117,17 +127,24 @@ class TestDiffmat:
         assert status == 0 and len(out.splitlines()) == 42
 
     def test_uniform_flags(self, capsys):
-        status, out, _ = run_cli(capsys, "diffmat", "--a", "0", "--b", "1", "--n", "1")
+        # --n partitions [0, 1]; any other interval is given as --nodes
+        status, out, _ = run_cli(capsys, "diffmat", "--n", "1")
         assert status == 0
         got = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
         np.testing.assert_array_equal(got, [[-1.0, 1.0], [-1.0, 1.0]])
+        assert_usage_error(capsys, ["diffmat", "--a", "0", "--b", "1", "--n", "1"],
+                           "unrecognized arguments: --a 0 --b 1")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("a, b", [("0", "inf"), ("-inf", "1"), ("nan", "1")])
     def test_non_finite_endpoint_is_config_error(self, capsys, a, b):
-        status, out, err = run_cli(capsys, "diffmat", f"--a={a}", f"--b={b}", "--n", "3")
-        assert status == 2 and out == ""
-        assert err.startswith("liealg: need finite a < b")
+        # there are no endpoint flags to be non-finite
+        assert_usage_error(capsys, ["diffmat", f"--a={a}", f"--b={b}", "--n", "3"],
+                           f"unrecognized arguments: --a={a} --b={b}")
+
+    def test_nodes_with_endpoints_is_usage_error(self, capsys):
+        # a flag beside --nodes is refused, never dropped unseen
+        assert_usage_error(capsys, ["diffmat", "--nodes", "0,1", "--a", "5", "--b", "9"],
+                           "unrecognized arguments: --a 5 --b 9")
 
     def test_output_matches_golden_file(self):
         status, text = run(RunConfig("diffmat", n=20))
@@ -161,11 +178,14 @@ class TestDiffmat:
         assert status == 0
         assert text.encode() == (DATA / "diffmat_jittered12.txt").read_bytes()
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_span_is_config_error(self, capsys):
-        status, out, err = run_cli(capsys, "diffmat", "--a=-1e308", "--b=1e308", "--n", "2")
-        assert status == 2 and out == ""
-        assert err == "liealg: span b - a of [-1e+308, 1e+308] is not finite in float64\n"
+    def test_overflowing_span_is_config_error(self, capsys, tmp_path):
+        # a config file cannot set the endpoints either: each key is unknown
+        cfg = tmp_path / "run.cfg"
+        for text, key in (("n=2\na=-1e308\nb=1e308\n", "a"), ("n=2\nb=1e308\n", "b")):
+            cfg.write_text(text)
+            status, out, err = run_cli(capsys, "diffmat", "--config", str(cfg))
+            assert status == 2 and out == ""
+            assert err == f"liealg: {cfg}:2: unknown key '{key}'\n"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_node_differences_are_an_error(self, capsys):
@@ -176,8 +196,8 @@ class TestDiffmat:
 
     def test_missing_partition_is_config_error(self, capsys):
         status, out, err = run_cli(capsys, "diffmat")
-        assert status == 2
-        assert err.count("\n") == 1 and "diffmat" in err
+        assert status == 2 and out == ""
+        assert err == "liealg: diffmat takes exactly one of --nodes and --n\n"
 
     @pytest.mark.parametrize("from_file", [False, True])
     def test_nodes_with_n_is_config_error(self, capsys, tmp_path, from_file):
@@ -192,7 +212,7 @@ class TestDiffmat:
             argv = ["diffmat", "--nodes", "0,1", "--n", "3"]
         status, out, err = run_cli(capsys, *argv)
         assert status == 2 and out == ""
-        assert err == "liealg: diffmat takes --nodes or --a/--b/--n, not both\n"
+        assert err == "liealg: diffmat takes exactly one of --nodes and --n\n"
 
     def test_underflowing_pi_weight_products_are_an_error(self, capsys, tmp_path):
         # Chebyshev-Lobatto nodes on [-1, 1], rounded to 12 digits: 801 are refused, 761 not
@@ -415,7 +435,7 @@ class TestConfigFile:
         status, out, err = run_cli(capsys, "table1", "--config", str(cfg))
         assert status == 2 and out == ""
         assert err == f"liealg: {cfg}:1: unknown key 'include_zero_endpoint'\n"
-        assert all(kind is not bool for kind, _, _ in SETTINGS.values())
+        assert all(kind is not bool for kind, *_ in SETTINGS.values())
 
     def test_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -563,14 +583,23 @@ class TestSizeBounds:
 
 class TestCommandTables:
     def test_settings_are_the_run_config_fields(self):
-        fields = [f.name for f in dataclasses.fields(RunConfig)]
-        assert fields[0] == "command" and list(SETTINGS) == fields[1:]
+        # RunConfig is built from the rows: the command, then each setting with its default
+        fields = dataclasses.fields(RunConfig)
+        assert fields[0].name == "command" and fields[0].default is dataclasses.MISSING
+        assert [(f.name, f.default) for f in fields[1:]] == [
+            (key, default) for key, (_, default, _, _) in SETTINGS.items()]
+        assert RunConfig.__module__ == "liealg.cli" and RunConfig.__qualname__ == "RunConfig"
+        config = RunConfig("diffmat", nodes="0,1", rel_tol=1e-10)
+        assert pickle.loads(pickle.dumps(config)) == config
+        assert repr(RunConfig("table1")) == (
+            "RunConfig(command='table1', nodes=None, n=None, n1=None, n2=None, out=None, "
+            "rel_tol=1e-08, seed=42)")
 
     def test_flags_are_the_table_flags(self):
         assert set(FLAGS) == set(COMMANDS)
         for command, flags in FLAGS.items():
             table = {"--" + key.replace("_", "-")
-                     for key, (_, commands, _) in SETTINGS.items() if command in commands}
+                     for key, (_, _, commands, _) in SETTINGS.items() if command in commands}
             assert table | {"--config"} == flags
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -588,9 +617,12 @@ class TestCommandTables:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         out = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
-        for key, (_, commands, flag_help) in SETTINGS.items():
+        for key, (_, default, commands, flag_help) in SETTINGS.items():
             if command in commands:
                 assert flag_help and flag_help in out, key
+                if default is not None:
+                    assert f"{flag_help} (default: {default})" in out, key
+        assert "(default: None)" not in out
 
     def test_top_level_help_lists_the_commands(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
