@@ -77,6 +77,14 @@ def _ranks(stack: np.ndarray, floors, rel_tol: float) -> list[int]:
     return [next(ranks) if alive else 0 for alive in live]
 
 
+def _decay_floor(scale: float, k: int, tol: float = NILPOTENCY_TOL) -> float:
+    """``tol * scale ** k``, the decay floor of H^k; an overflow raises ``ValueError``."""
+    try:
+        return tol * scale ** k
+    except OverflowError:
+        raise ValueError(f"norm-decay floor overflows float64 ({scale:.4e} ** {k})") from None
+
+
 def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
     """Check that the differentiation matrix of each ``(nodes, prefix)`` has rank n and a
     vanishing (n+1)-th power: reports ``prefix`` + ``rank[n=..]`` and ``nilpotent[n=..]``
@@ -94,7 +102,7 @@ def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
     pairs: list = [None] * len(cases)
     for group, zs in _z_stacks([nodes for nodes, _ in cases]):
         n = zs.shape[-1] - 1
-        floors = [NILPOTENCY_TOL * z ** (n + 1) for z in matrix_norm(zs, ord=np.inf).tolist()]
+        floors = [_decay_floor(z, n + 1) for z in matrix_norm(zs, ord=np.inf).tolist()]
         ranks = _ranks(np.concatenate([zs, _powers(zs, n + 1)[-1]]),
                        [0.0] * len(group) + floors, rel_tol)
         for row, i in enumerate(group):
@@ -115,20 +123,19 @@ def _z_stacks(node_rows):
 def audit_rank_ladder(h, rel_tol: float = 1e-8, prefix: str = "rank_ladder") -> list[AuditReport]:
     """Check rank H^k == n+1-k for k = 0..n+1, given H of rank n with H^(n+1) == 0.
 
-    Case names are ``prefix`` followed by ``[k=..]``.
+    H^0 .. H^n get their plain ``rel_tol`` rank; H^(n+1), the nilpotency hypothesis,
+    gets the norm-decay test.  Case names are ``prefix`` followed by ``[k=..]``.
     """
     h = as_matrix(h)
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"rank ladder needs a square matrix, got shape {h.shape}")
     n = h.shape[0] - 1
-    # H^0 .. H^(n+1), then H^(n+1) once more for the nilpotency hypothesis
-    powers = _powers(h, n + 1)
     scale = float(matrix_norm(h, ord=np.inf))
-    floors = [rel_tol * scale ** k for k in range(n + 2)] + [NILPOTENCY_TOL * scale ** (n + 1)]
-    ranks = _ranks(np.concatenate([powers, powers[-1:]]), floors, rel_tol)
+    floors = [0.0] * (n + 1) + [_decay_floor(scale, n + 1)]
+    ranks = _ranks(_powers(h, n + 1), floors, rel_tol)
     if ranks[1] != n:
         raise ValueError(f"hypothesis failed: numerical rank of H is not {n}")
-    if ranks[n + 2] != 0:
+    if ranks[n + 1] != 0:
         raise ValueError(f"hypothesis failed: H^{n + 1} is not numerically zero")
     return [AuditReport(f"{prefix}[k={k}]", n + 1 - k, ranks[k], rel_tol) for k in range(n + 2)]
 
@@ -161,7 +168,7 @@ def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[int]:
     only adds +0.0 to sums that never hold -0.0.  The polynomial is B^k (a_k I + a_{k+1} B
     + ...), whose second factor is invertible since a_k != 0 and B is nilpotent, so it is
     zero exactly when B^k is: its floor is infinite where norm(B^k) <= rel_tol norm(B)^k,
-    the decay rule of :func:`audit_rank_ladder`, and 0.0 elsewhere.
+    a norm-decay test, and 0.0 elsewhere.
     """
     count, dim = len(cases), bs.shape[-1]
     coeffs = np.zeros((count, max(c.size for c, _ in cases)))
@@ -174,8 +181,8 @@ def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[int]:
         poly += column[:, None, None] * powers[ks + j, rows]
     scales = matrix_norm(bs, ord=np.inf).tolist()
     tops = matrix_norm(powers[ks, rows], ord=np.inf).tolist()
-    floors = ([NILPOTENCY_TOL * scale ** dim for scale in scales]
-              + [np.inf if top <= rel_tol * scale ** k else 0.0
+    floors = ([_decay_floor(scale, dim) for scale in scales]
+              + [np.inf if top <= _decay_floor(scale, k, rel_tol) else 0.0
                  for top, scale, k in zip(tops, scales, ks.tolist())])
     ranks = _ranks(np.concatenate([powers[dim], poly]), floors, rel_tol)
     if any(ranks[:count]):

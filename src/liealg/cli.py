@@ -118,7 +118,7 @@ COMMANDS = {
 _GRID_SIZE = (f"{MIN_N_2D}..{MAX_N}; a missing size copies the other (default: {DEFAULT_N_2D}; "
               "table3 without either runs its two reference grids)")
 # each setting: (value type, default, the commands that take it as a flag, flag help);
-# a --config file may set any of them
+# the seed, which no command takes as a flag, comes from LIEALG_SEED
 SETTINGS = {
     "nodes": (str, None, ("diffmat",),
               "comma-separated node list, or a file with one node per line"),
@@ -135,33 +135,9 @@ RunConfig = make_dataclass("RunConfig", ["command", *(
     namespace={"__module__": __name__})
 
 
-def _parse_config_file(path: str) -> dict:
-    """Typed values of a ``key=value`` file; an unknown key or a bad value is an error."""
-    values: dict = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, value = line.partition("=")
-                key, value = key.strip().replace("-", "_"), value.strip()
-                if key not in SETTINGS:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-                try:
-                    values[key] = SETTINGS[key][0](value)
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
 def build_config(argv: list[str] | None) -> RunConfig:
-    """The validated configuration of ``argv`` (``None``: ``sys.argv[1:]``): flags win
-    over the ``--config`` file, the file over ``LIEALG_SEED``, that over the defaults."""
+    """The validated configuration of ``argv`` (``None``: ``sys.argv[1:]``): each setting
+    comes from its flag, the seed from ``LIEALG_SEED``, and the rest keep their defaults."""
     parser = argparse.ArgumentParser(
         prog="liealg",
         description="Matrix representations of differential operators: dumps, audits, experiments.")
@@ -173,7 +149,6 @@ def build_config(argv: list[str] | None) -> RunConfig:
                 if default is not None:
                     flag_help += f" (default: {default})"
                 p.add_argument("--" + key.replace("_", "-"), type=kind, help=flag_help)
-        p.add_argument("--config", help="key=value file; explicit flags win")
 
     args = parser.parse_args(argv)
     seed_env = os.environ.get("LIEALG_SEED")
@@ -181,8 +156,6 @@ def build_config(argv: list[str] | None) -> RunConfig:
         values = {} if seed_env is None else {"seed": int(seed_env)}
     except ValueError as exc:
         raise ConfigError(f"LIEALG_SEED must be an integer, got {seed_env!r}") from exc
-    if args.config:
-        values.update(_parse_config_file(args.config))
     values.update((k, v) for k, v in vars(args).items() if k in SETTINGS and v is not None)
     config = RunConfig(args.command, **values)
     _validate(config)

@@ -61,11 +61,13 @@ def reference_diff_rank(p, prefix, rel_tol=1e-8):
 
 
 def reference_rank_ladder(h, rel_tol, prefix):
+    """Plain 2-D ranks of H^0 .. H^n; H^(n+1) = 0 by the decay test."""
     n = len(h) - 1
     assert numerical_rank(h, rel_tol) == n
     assert reference_power_rank(h, n + 1, rel_tol, NILPOTENCY_TOL) == 0
-    return [AuditReport(f"{prefix}[k={k}]", n + 1 - k, reference_power_rank(h, k, rel_tol, rel_tol),
-                        rel_tol) for k in range(n + 2)]
+    return [AuditReport(f"{prefix}[k={k}]", n + 1 - k, reference_power_rank(h, k, rel_tol, 0.0),
+                        rel_tol) for k in range(n + 1)] + [
+        AuditReport(f"{prefix}[k={n + 1}]", 0, 0, rel_tol)]
 
 
 def reference_nilpotent_poly_rank(b, coeffs, k, rel_tol):
@@ -220,8 +222,24 @@ class TestRankLadder:
         inputs += [diff_matrix(jittered_partition(rng, n)) for n in rng.integers(1, 7, size=10)]
         for rel_tol in (1e-8, 1e-10):
             for h in inputs:
-                assert audit_rank_ladder(h, rel_tol, "ladder") == reference_rank_ladder(
-                    h, rel_tol, "ladder")
+                reports = audit_rank_ladder(h, rel_tol, "ladder")
+                assert reports == reference_rank_ladder(h, rel_tol, "ladder")
+                assert [r.observed for r in reports] == list(range(len(h), -1, -1))
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_diff_matrix_ladder_reads_the_theorem(self, n):
+        # rank Z^k = n + 1 - k on uniform nodes and on 20 jittered draws, up to n = 16; Z is
+        # so non-normal that norm(Z^k) falls below 1e-8 norm(Z)^k while Z^k is nonzero
+        rng = np.random.default_rng(n)
+        for p in [uniform_partition(0.0, 1.0, n)] + [jittered_partition(rng, n)
+                                                      for _ in range(20)]:
+            reports = audit_rank_ladder(diff_matrix(p))
+            assert [r.observed for r in reports] == list(range(n + 1, -1, -1))
+            assert all(r.passed for r in reports)
+
+    def test_overflowing_floor_is_value_error(self):
+        with pytest.raises(ValueError, match=r"floor overflows float64 \(1.0000e\+200 \*\* 2\)"):
+            audit_rank_ladder(np.array([[0.0, 1e200], [0.0, 0.0]]))
 
     def test_rejects_full_rank_input(self):
         with pytest.raises(ValueError, match="nilpotent|rank"):
@@ -357,6 +375,10 @@ class TestNilpotentPolyRankAudit:
     def test_rejects_complex_coefficients(self):
         with pytest.raises(ValueError, match="complex"):
             audit_nilpotent_poly_rank(JORDAN2, [1.0 + 1j], 1)
+
+    def test_overflowing_floor_is_value_error(self):
+        with pytest.raises(ValueError, match=r"floor overflows float64 \(1.0000e\+200 \*\* 2\)"):
+            audit_nilpotent_poly_rank(np.array([[0.0, 1e200], [0.0, 0.0]]), [1.0], 1)
 
     def test_rejects_zero_leading_coefficient(self):
         with pytest.raises(ValueError, match="nonzero"):

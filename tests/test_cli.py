@@ -30,12 +30,15 @@ DATA = Path(__file__).parent / "data"
 
 # each command's flags besides -h/--help
 FLAGS = {
-    "diffmat": {"--nodes", "--n", "--out", "--config"},
-    "rank-audit": {"--rel-tol", "--out", "--config"},
-    "table1": {"--out", "--config"},
-    "table3": {"--n1", "--n2", "--out", "--config"},
-    "plot-figure1": {"--n1", "--n2", "--out", "--config"},
+    "diffmat": {"--nodes", "--n", "--out"},
+    "rank-audit": {"--rel-tol", "--out"},
+    "table1": {"--out"},
+    "table3": {"--n1", "--n2", "--out"},
+    "plot-figure1": {"--n1", "--n2", "--out"},
 }
+# a value of each setting that is a flag, as given on the command line and as parsed
+FLAG_VALUES = {"nodes": ("0,1", "0,1"), "n": ("3", 3), "n1": ("5", 5), "n2": ("6", 6),
+               "out": ("x.txt", "x.txt"), "rel_tol": ("1e-10", 1e-10)}
 
 EXPECTED_Z012 = np.array([[-1.5, 2.0, -0.5], [-0.5, 0.0, 0.5], [0.5, -2.0, 1.5]])
 
@@ -178,14 +181,13 @@ class TestDiffmat:
         assert status == 0
         assert text.encode() == (DATA / "diffmat_jittered12.txt").read_bytes()
 
-    def test_overflowing_span_is_config_error(self, capsys, tmp_path):
-        # a config file cannot set the endpoints either: each key is unknown
-        cfg = tmp_path / "run.cfg"
-        for text, key in (("n=2\na=-1e308\nb=1e308\n", "a"), ("n=2\nb=1e308\n", "b")):
-            cfg.write_text(text)
-            status, out, err = run_cli(capsys, "diffmat", "--config", str(cfg))
-            assert status == 2 and out == ""
-            assert err == f"liealg: {cfg}:2: unknown key '{key}'\n"
+    def test_overflowing_span_is_config_error(self, capsys):
+        # no flag and no RunConfig field sets an endpoint, so no span can overflow
+        for argv in (["--a=-1e308", "--b=1e308"], ["--b=1e308"]):
+            assert_usage_error(capsys, ["diffmat", "--n", "2", *argv],
+                               "unrecognized arguments: " + " ".join(argv))
+        with pytest.raises(TypeError, match="'b'"):
+            RunConfig("diffmat", n=2, b=1e308)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_node_differences_are_an_error(self, capsys):
@@ -201,16 +203,11 @@ class TestDiffmat:
 
     @pytest.mark.parametrize("from_file", [False, True])
     def test_nodes_with_n_is_config_error(self, capsys, tmp_path, from_file):
-        # a dump of the nodes alone would drop --n with no word
+        # a dump of the nodes alone would drop --n with no word, for a node file or a list
         nodes = tmp_path / "nodes.txt"
         nodes.write_text("0\n1\n")
-        if from_file:
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text(f"nodes={nodes}\nn=3\n")
-            argv = ["diffmat", "--config", str(cfg)]
-        else:
-            argv = ["diffmat", "--nodes", "0,1", "--n", "3"]
-        status, out, err = run_cli(capsys, *argv)
+        status, out, err = run_cli(capsys, "diffmat", "--nodes", str(nodes) if from_file
+                                   else "0,1", "--n", "3")
         assert status == 2 and out == ""
         assert err == "liealg: diffmat takes exactly one of --nodes and --n\n"
 
@@ -341,14 +338,11 @@ class TestRankAudit:
         status, _, err = run_cli(capsys, "rank-audit")
         assert status == 2 and "LIEALG_SEED" in err
 
-    def test_negative_seed_is_config_error(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("LIEALG_SEED", "-1")
-        assert run_cli(capsys, "rank-audit") == (2, "", "liealg: seed must be non-negative, got -1\n")
-        monkeypatch.delenv("LIEALG_SEED")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed=-3\n")
-        assert run_cli(capsys, "rank-audit", "--config", str(cfg)) == (
-            2, "", "liealg: seed must be non-negative, got -3\n")
+    def test_negative_seed_is_config_error(self, capsys, monkeypatch):
+        for seed in ("-1", "-3"):
+            monkeypatch.setenv("LIEALG_SEED", seed)
+            assert run_cli(capsys, "rank-audit") == (
+                2, "", f"liealg: seed must be non-negative, got {seed}\n")
 
     def test_rel_tol_flag_validated(self, capsys):
         status, _, err = run_cli(capsys, "rank-audit", "--rel-tol", "2.0")
@@ -409,71 +403,45 @@ def test_solve_bytes_do_not_depend_on_caller_buffer_size(caller_bufsize, config,
 
 
 class TestConfigFile:
-    def test_unknown_key_is_config_error(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n1=5\nnn=3\n")
-        status, out, err = run_cli(capsys, "table3", "--config", str(cfg))
-        assert status == 2 and out == ""
-        assert err == f"liealg: {cfg}:2: unknown key 'nn'\n"
+    """Each setting comes from its flag, the seed from LIEALG_SEED, the rest from its
+    default; no command reads a configuration file."""
 
-    def test_bad_boolean_is_config_error(self, capsys, tmp_path):
-        # table1 runs on [0.001, pi/2] alone; the switch to [0, pi/2] is an unknown key
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_config_flag_is_a_usage_error(self, capsys, tmp_path, command):
+        # a file of valid settings is refused before it is read, never merged with the flags
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("include_zero_endpoint=maybe\n")
-        status, out, err = run_cli(capsys, "table1", "--config", str(cfg))
-        assert status == 2 and out == ""
-        assert err == f"liealg: {cfg}:1: unknown key 'include_zero_endpoint'\n"
+        cfg.write_text("n1=5\nn2=5\nseed=8\n")
+        assert_usage_error(capsys, [command, "--config", str(cfg)],
+                           f"unrecognized arguments: --config {cfg}")
+
+    def test_unknown_key_is_config_error(self, capsys):
+        assert_usage_error(capsys, ["table3", "--n1", "5", "--nn", "3"],
+                           "unrecognized arguments: --nn 3")
+
+    def test_bad_boolean_is_config_error(self, capsys):
+        # table1 runs on [0.001, pi/2] alone; the switch to [0, pi/2] is an unknown flag
+        assert_usage_error(capsys, ["table1", "--include-zero-endpoint=maybe"],
+                           "unrecognized arguments: --include-zero-endpoint=maybe")
 
     @pytest.mark.parametrize("value, dashed", [("yes", True), ("On", True), ("0", False),
                                                ("false", False), ("1", False)])
-    def test_boolean_words(self, capsys, tmp_path, value, dashed):
+    def test_boolean_words(self, capsys, value, dashed):
         # no setting is a switch: a word that once turned the zero endpoint on or off is
-        # refused with its key, in either spelling of the key
-        key = "include-zero-endpoint" if dashed else "include_zero_endpoint"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key}={value}\n")
-        status, out, err = run_cli(capsys, "table1", "--config", str(cfg))
-        assert status == 2 and out == ""
-        assert err == f"liealg: {cfg}:1: unknown key 'include_zero_endpoint'\n"
+        # refused with its flag, in either spelling of the flag
+        flag = "--include-zero-endpoint" if dashed else "--include_zero_endpoint"
+        assert_usage_error(capsys, ["table1", f"{flag}={value}"],
+                           f"unrecognized arguments: {flag}={value}")
         assert all(kind is not bool for kind, *_ in SETTINGS.values())
 
-    def test_file_supplies_values(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment\nn1=5\nn2=5\n")
-        status, out, _ = run_cli(capsys, "table3", "--config", str(cfg))
-        rows = parse_csv(out)
-        assert status == 0 and [r["n"] for r in rows] == ["5x5"]
-
-    def test_flags_win_over_file(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n1=5\nn2=5\n")
-        status, out, _ = run_cli(capsys, "table3", "--config", str(cfg), "--n1", "6")
-        rows = parse_csv(out)
-        assert status == 0 and [r["n"] for r in rows] == ["6x5"]
-
-    def test_bad_value_is_config_error(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n1=5\nn2=five\n")
-        status, out, err = run_cli(capsys, "table3", "--config", str(cfg))
-        assert status == 2 and out == ""
-        assert err == f"liealg: {cfg}:2: bad value for n2: 'five'\n"
-
-    def test_malformed_line_is_config_error(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("n1: 5\n")
-        status, _, err = run_cli(capsys, "table3", "--config", str(cfg))
-        assert status == 2 and "key=value" in err
+    def test_bad_value_is_config_error(self, capsys):
+        assert_usage_error(capsys, ["table3", "--n1", "5", "--n2", "five"],
+                           "argument --n2: invalid int value: 'five'")
 
     def test_missing_file_is_config_error(self, capsys, tmp_path):
-        status, _, err = run_cli(capsys, "table3", "--config", str(tmp_path / "nope.cfg"))
-        assert status == 2
-
-    def test_undecodable_file_is_config_error(self, capsys, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(b"\xff\xfe\x00n=3\n")
-        status, out, err = run_cli(capsys, "diffmat", "--config", str(cfg))
-        assert status == 2 and out == ""
-        assert err.startswith(f"liealg: cannot read config file {cfg}: ") and err.count("\n") == 1
+        # the path is never opened: the flag itself is refused
+        path = tmp_path / "nope.cfg"
+        assert_usage_error(capsys, ["table3", "--config", str(path)],
+                           f"unrecognized arguments: --config {path}")
 
     def test_out_of_range_n_rejected(self, capsys):
         status, _, err = run_cli(capsys, "table3", "--n1", "25")
@@ -490,22 +458,23 @@ class TestConfigFile:
         assert err == "liealg: n1 must lie in 4..20, got 2\n"
 
     def test_config_file_n2_below_four_is_config_error(self, capsys, tmp_path):
+        # the file is refused with exit 2; the same sizes as flags fail on n2's bound
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n1=5\nn2=3\n")
-        status, _, err = run_cli(capsys, "table3", "--config", str(cfg))
-        assert status == 2 and "n2 must lie in 4..20" in err
+        assert_usage_error(capsys, ["table3", "--config", str(cfg)], "--config")
+        status, out, err = run_cli(capsys, "table3", "--n1", "5", "--n2", "3")
+        assert status == 2 and out == "" and err == "liealg: n2 must lie in 4..20, got 3\n"
 
     @pytest.mark.parametrize("command, setting, message", [
         ("table1", "n=50", "liealg: n must lie in 1..20, got 50\n"),
         ("rank-audit", "n1=3", "liealg: n1 must lie in 4..20, got 3\n"),
     ])
-    def test_every_setting_is_checked_whatever_the_command(self, capsys, tmp_path, command,
-                                                            setting, message):
-        # a --config file may set a size that the command does not read; it is still checked
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(setting + "\n")
-        status, out, err = run_cli(capsys, command, "--config", str(cfg))
-        assert status == 2 and out == "" and err == message
+    def test_every_setting_is_checked_whatever_the_command(self, command, setting, message):
+        # a hand-built RunConfig may set a size that the command does not read; run checks it
+        key, value = setting.split("=")
+        with pytest.raises(ConfigError) as info:
+            run(RunConfig(command, **{key: int(value)}))
+        assert f"liealg: {info.value}\n" == message
 
     def test_diffmat_keeps_one_to_twenty(self, capsys):
         assert run_cli(capsys, "diffmat", "--n", "1")[0] == 0
@@ -514,28 +483,41 @@ class TestConfigFile:
 
     def test_bool_flag_wins_over_file_and_its_absence_does_not(self, capsys, monkeypatch,
                                                                 tmp_path):
-        # the removed flag is a usage error before the file is read; without it the file's
-        # key is the error, and without either table1 builds on its one interval
+        # the removed switch is a usage error, with a --config file or without; without
+        # either table1 builds on its one interval
         cfg = tmp_path / "run.cfg"
         cfg.write_text("include_zero_endpoint=no\n")
-        with pytest.raises(SystemExit) as exit_info:
-            main(["table1", "--config", str(cfg), "--include-zero-endpoint"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments: --include-zero-endpoint" in capsys.readouterr().err
-        with pytest.raises(ConfigError, match="unknown key 'include_zero_endpoint'"):
-            build_config(["table1", "--config", str(cfg)])
+        for argv in (["--config", str(cfg), "--include-zero-endpoint"],
+                     ["--include-zero-endpoint"]):
+            assert_usage_error(capsys, ["table1", *argv], "--include-zero-endpoint")
         monkeypatch.delenv("LIEALG_SEED", raising=False)
         assert build_config(["table1"]) == RunConfig("table1")
 
     def test_seed_precedence_file_then_env_then_default(self, monkeypatch, tmp_path):
+        # no file sets the seed: LIEALG_SEED does, else the default; no flag does either
         cfg = tmp_path / "run.cfg"
         cfg.write_text("seed=8\n")
         monkeypatch.delenv("LIEALG_SEED", raising=False)
         assert build_config(["rank-audit"]).seed == 42
-        assert build_config(["rank-audit", "--config", str(cfg)]).seed == 8
         monkeypatch.setenv("LIEALG_SEED", "7")
         assert build_config(["rank-audit"]).seed == 7
-        assert build_config(["rank-audit", "--config", str(cfg)]).seed == 8
+        for argv in (["--config", str(cfg)], ["--seed", "8"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_config(["rank-audit", *argv])
+            assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_setting_comes_from_flag_then_env_then_default(self, monkeypatch, command):
+        flags = {key: FLAG_VALUES[key] for key, (_, _, commands, _) in SETTINGS.items()
+                 if command in commands}
+        argv = [command, *(f"--{key.replace('_', '-')}={text}" for key, (text, _) in flags.items())]
+        parsed = {key: value for key, (_, value) in flags.items()}
+        monkeypatch.delenv("LIEALG_SEED", raising=False)
+        assert build_config([command]) == RunConfig(command)
+        assert build_config(argv) == RunConfig(command, **parsed)
+        monkeypatch.setenv("LIEALG_SEED", "7")
+        assert build_config([command]) == RunConfig(command, seed=7)
+        assert build_config(argv) == RunConfig(command, **parsed, seed=7)
 
     def test_unknown_command_is_config_error(self, capsys):
         # argparse picks the command; a hand-built config with another one fails in run
@@ -600,7 +582,7 @@ class TestCommandTables:
         for command, flags in FLAGS.items():
             table = {"--" + key.replace("_", "-")
                      for key, (_, _, commands, _) in SETTINGS.items() if command in commands}
-            assert table | {"--config"} == flags
+            assert table == flags
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_help_lists_the_flags(self, capsys, command):
@@ -609,7 +591,6 @@ class TestCommandTables:
         assert exit_info.value.code == 0
         out = capsys.readouterr().out
         assert set(re.findall(r"^ +(?:-h, )?(--[\w-]+)", out, re.M)) == FLAGS[command] | {"--help"}
-        assert "key=value file; explicit flags win" in out
         assert "output file (default: stdout)" in out
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
