@@ -34,8 +34,6 @@ __all__ = [
 ]
 
 NILPOTENCY_TOL = 1e-8
-MAX_LADDER_N = 12
-MAX_LIFTED_TOTAL = 256
 
 
 @dataclass(frozen=True)
@@ -93,12 +91,6 @@ def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
     Rows of equal n are checked as one stack of Z and Z^(n+1): one
     :func:`_powers` call and one :func:`_ranks` call per n.
     """
-    for nodes, _ in cases:
-        if nodes.size - 1 > MAX_LADDER_N:
-            raise ValueError(
-                f"conditioning guard: n={nodes.size - 1} exceeds {MAX_LADDER_N}; beyond this "
-                "the differentiation matrix is too ill-conditioned for float64 rank "
-                "checks (exact-arithmetic verification is out of scope)")
     pairs: list = [None] * len(cases)
     for group, zs in _z_stacks([nodes for nodes, _ in cases]):
         n = zs.shape[-1] - 1
@@ -213,8 +205,6 @@ def _lifted_poly_reports(cases, ps: list[Partition], rel_tol: float) -> list[Aud
     the ``rel_tol`` rank of its ``poly_operator_matrix``, all decided by one
     :func:`numerical_rank` call on their stack."""
     total = space_of(ps).total
-    if total > MAX_LIFTED_TOTAL:
-        raise ValueError(f"size guard: N={total} exceeds {MAX_LIFTED_TOTAL}")
     matrices = np.empty((len(cases), total, total))
     for i, terms in enumerate(cases):
         matrices[i] = poly_operator_matrix(terms, ps)

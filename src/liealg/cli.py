@@ -13,7 +13,7 @@ from . import audits, bvp
 from .bvp import MAX_N, MIN_N_2D
 from .linalg import format_matrix
 from .operators import diff_matrix
-from .partitions import Partition, read_partition, uniform_partition
+from .partitions import Partition, uniform_partition
 
 DEFAULT_N_2D = 15
 TABLE_HEADER = "method,n,E,Emax,Eavg,rcond"
@@ -38,11 +38,6 @@ def _partition_from_config(config: RunConfig) -> Partition:
         raise ConfigError("diffmat takes exactly one of --nodes and --n")
     if nodes is None:
         return uniform_partition(0.0, 1.0, config.n)
-    if "," not in nodes and os.path.exists(nodes):
-        try:
-            return read_partition(nodes)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"bad node file {nodes}: {exc}") from exc
     try:
         values = [float(v) for v in nodes.split(",")]
     except ValueError as exc:
@@ -121,7 +116,7 @@ _GRID_SIZE = (f"{MIN_N_2D}..{MAX_N}; a missing size copies the other (default: {
 # the seed, which no command takes as a flag, comes from LIEALG_SEED
 SETTINGS = {
     "nodes": (str, None, ("diffmat",),
-              "comma-separated node list, or a file with one node per line"),
+              "comma-separated node list; a negative first node needs the form --nodes=-1,0,1"),
     "n": (int, None, ("diffmat",), f"subintervals of a uniform partition of [0, 1], 1..{MAX_N}"),
     "n1": (int, None, ("table3", "plot-figure1"), f"subintervals in x, {_GRID_SIZE}"),
     "n2": (int, None, ("table3", "plot-figure1"), f"subintervals in y, {_GRID_SIZE}"),

@@ -17,7 +17,6 @@ __all__ = [
     "Partition",
     "uniform_partition",
     "jittered_partition",
-    "read_partition",
 ]
 
 
@@ -96,9 +95,3 @@ def _span(a: float, b: float) -> float:
     if not math.isfinite(span):
         raise ValueError(f"span b - a of [{a}, {b}] is not finite in float64")
     return span
-
-
-def read_partition(path) -> Partition:
-    with open(path) as fh:
-        nodes = [float(line) for line in fh if line.strip()]
-    return Partition(np.array(nodes))

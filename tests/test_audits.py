@@ -167,13 +167,6 @@ class TestDiffRankAudit:
         assert rank_report.observed == 7
         assert rank_report.passed and nil_report.passed
 
-    def test_conditioning_guard(self):
-        with pytest.raises(ValueError, match="conditioning guard"):
-            _diff_rank_reports([(uniform_partition(0, 1, 13).nodes, "diff_")], 1e-8)
-        with pytest.raises(ValueError, match="conditioning guard"):
-            _diff_rank_reports([(P01.nodes, "a_"), (uniform_partition(0, 1, 13).nodes, "b_")],
-                               1e-8)
-
     def test_node_rows_get_partition_checks(self):
         for nodes, match in ((np.array([0.0, 2.0, 1.0]), "increasing"),
                              (np.array([0.0, np.nan, 1.0]), "finite")):
@@ -501,11 +494,6 @@ class TestLiftedPolyRankAudit:
         ps = [uniform_partition(0, 1, 2), uniform_partition(0, 1, 2)]
         [report] = _lifted_poly_reports([[(-7.0, (0, 0))]], ps, 1e-8)
         assert report.passed and report.expected is True
-
-    def test_size_guard(self):
-        ps = [uniform_partition(0, 1, 16), uniform_partition(0, 1, 16)]
-        with pytest.raises(ValueError, match="size guard"):
-            _lifted_poly_reports([[(1.0, (0, 0))]], ps, 1e-8)
 
     def test_stacked_family_equals_per_case_calls(self):
         ps = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]

@@ -71,50 +71,41 @@ class TestDiffmat:
         got = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
         np.testing.assert_array_equal(got, EXPECTED_Z012)
 
-    def test_nodes_from_file(self, capsys, tmp_path):
-        path = tmp_path / "nodes.txt"
-        path.write_text("0\n1\n2\n")
-        status, out, _ = run_cli(capsys, "diffmat", "--nodes", str(path))
+    def test_negative_first_node_takes_the_equals_form(self, capsys):
+        # argparse reads a value that starts with a minus sign as an option; the nodes
+        # -1, 0, 1 have the spacing of 0, 1, 2 and so its Z
+        status, out, _ = run_cli(capsys, "diffmat", "--nodes=-1,0,1")
         assert status == 0
         got = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
         np.testing.assert_array_equal(got, EXPECTED_Z012)
+        assert_usage_error(capsys, ["diffmat", "--nodes", "-1,0,1"],
+                           "argument --nodes: expected one argument")
 
-    def test_only_a_node_file_name_is_looked_up(self, capsys, tmp_path, monkeypatch):
-        # a comma list is never a file name, so it costs no stat
-        exists, looked_up = os.path.exists, []
-        monkeypatch.setattr(os.path, "exists", lambda p: looked_up.append(p) or exists(p))
+    def test_a_file_name_is_not_a_node_list(self, capsys, tmp_path, monkeypatch):
+        # --nodes takes one format, so no value is looked up as a file
+        looked_up = []
+        monkeypatch.setattr(os.path, "exists", lambda p: looked_up.append(p) or True)
         path = tmp_path / "nodes.txt"
         path.write_text("0\n1\n2\n")
-        for nodes in ("0,1,2", str(path)):
-            status, out, _ = run_cli(capsys, "diffmat", "--nodes", nodes)
-            assert status == 0
-            got = np.array([[float(v) for v in line.split()] for line in out.splitlines()])
-            np.testing.assert_array_equal(got, EXPECTED_Z012)
-        assert looked_up == [str(path)]
+        status, out, err = run_cli(capsys, "diffmat", "--nodes", str(path))
+        assert status == 2 and out == ""
+        assert err == f"liealg: bad node list {str(path)!r}\n"
+        assert looked_up == []
 
-    @pytest.mark.parametrize("content, reason", [
-        ("0\n2\n1\n", "strictly increasing"),
-        ("0\nabc\n1\n", "could not convert"),
-        ("0.5\n", "two nodes"),
+    @pytest.mark.parametrize("nodes, reason", [
+        ("0,x,1", "bad node list '0,x,1'"),
+        ("0,2,1", "partition nodes must be strictly increasing"),
+        ("0.5", "a partition needs at least two nodes"),
     ])
-    def test_bad_node_file_is_config_error(self, capsys, tmp_path, content, reason):
-        path = tmp_path / "nodes.txt"
-        path.write_text(content)
-        status, out, err = run_cli(capsys, "diffmat", "--nodes", str(path))
+    def test_bad_node_list_is_config_error(self, capsys, nodes, reason):
+        status, out, err = run_cli(capsys, "diffmat", "--nodes", nodes)
         assert status == 2 and out == ""
-        assert err.startswith(f"liealg: bad node file {path}: ") and reason in err
-        assert err.count("\n") == 1
+        assert err == f"liealg: {reason}\n"
 
-    def test_bad_node_list_is_config_error(self, capsys):
-        status, out, err = run_cli(capsys, "diffmat", "--nodes", "0,x,1")
-        assert status == 2 and out == ""
-        assert err == "liealg: bad node list '0,x,1'\n"
-
-    def test_non_finite_matrix_is_an_error(self, capsys, tmp_path):
+    def test_non_finite_matrix_is_an_error(self, capsys):
         # 1001 uniform nodes on [-1, 1] overflow the pi-weights
-        path = tmp_path / "nodes.txt"
-        path.write_text("".join(f"{x:.17g}\n" for x in np.linspace(-1.0, 1.0, 1001)))
-        status, out, err = run_cli(capsys, "diffmat", "--nodes", str(path))
+        nodes = ",".join(map(repr, np.linspace(-1.0, 1.0, 1001).tolist()))
+        status, out, err = run_cli(capsys, "diffmat", f"--nodes={nodes}")
         assert status == 1 and out == ""
         assert err.startswith("liealg: differentiation matrix of 1001 nodes is not finite")
 
@@ -201,27 +192,21 @@ class TestDiffmat:
         assert status == 2 and out == ""
         assert err == "liealg: diffmat takes exactly one of --nodes and --n\n"
 
-    @pytest.mark.parametrize("from_file", [False, True])
-    def test_nodes_with_n_is_config_error(self, capsys, tmp_path, from_file):
-        # a dump of the nodes alone would drop --n with no word, for a node file or a list
-        nodes = tmp_path / "nodes.txt"
-        nodes.write_text("0\n1\n")
-        status, out, err = run_cli(capsys, "diffmat", "--nodes", str(nodes) if from_file
-                                   else "0,1", "--n", "3")
+    def test_nodes_with_n_is_config_error(self, capsys):
+        # a dump of the nodes alone would drop --n with no word
+        status, out, err = run_cli(capsys, "diffmat", "--nodes", "0,1", "--n", "3")
         assert status == 2 and out == ""
         assert err == "liealg: diffmat takes exactly one of --nodes and --n\n"
 
-    def test_underflowing_pi_weight_products_are_an_error(self, capsys, tmp_path):
+    def test_underflowing_pi_weight_products_are_an_error(self, capsys):
         # Chebyshev-Lobatto nodes on [-1, 1], rounded to 12 digits: 801 are refused, 761 not
-        def write(n):
-            path = tmp_path / f"chebyshev{n + 1}.txt"
-            path.write_text("".join(f"{round(-math.cos(math.pi * i / n), 12)!r}\n"
-                                    for i in range(n + 1)))
-            return str(path)
-        status, out, err = run_cli(capsys, "diffmat", "--nodes", write(800))
+        def chebyshev(n):
+            return "--nodes=" + ",".join(repr(round(-math.cos(math.pi * i / n), 12))
+                                         for i in range(n + 1))
+        status, out, err = run_cli(capsys, "diffmat", chebyshev(800))
         assert status == 1 and out == ""
         assert err.startswith("liealg: differentiation matrix of 801 nodes is inaccurate")
-        status, out, _ = run_cli(capsys, "diffmat", "--nodes", write(760))
+        status, out, _ = run_cli(capsys, "diffmat", chebyshev(760))
         assert status == 0 and len(out.splitlines()) == 761
 
 

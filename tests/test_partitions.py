@@ -12,7 +12,6 @@ from liealg.partitions import (
     _check_nodes,
     _jittered_nodes,
     jittered_partition,
-    read_partition,
     uniform_partition,
 )
 
@@ -191,10 +190,3 @@ class TestPiWeights:
     ])
     def test_direct_products(self, nodes, expected):
         np.testing.assert_array_equal(_diff_matrices(np.array([nodes]))[0], expected)
-
-
-def test_partition_file_round_trip(tmp_path):
-    p = Partition(np.array([0.001, 0.3932, math.pi / 2]))
-    path = tmp_path / "nodes.txt"
-    path.write_text("".join(f"{x:.17g}\n" for x in p.nodes))
-    np.testing.assert_array_equal(read_partition(path).nodes, p.nodes)
