@@ -92,15 +92,33 @@ class TestDiffmat:
         assert err == f"liealg: bad node list {str(path)!r}\n"
         assert looked_up == []
 
-    @pytest.mark.parametrize("nodes, reason", [
-        ("0,x,1", "bad node list '0,x,1'"),
-        ("0,2,1", "partition nodes must be strictly increasing"),
-        ("0.5", "a partition needs at least two nodes"),
+    @pytest.mark.parametrize("content, reason", [
+        ("0\n2\n1\n", "strictly increasing"),
+        ("0\nabc\n1\n", "could not convert"),
+        ("0.5\n", "two nodes"),
     ])
-    def test_bad_node_list_is_config_error(self, capsys, nodes, reason):
-        status, out, err = run_cli(capsys, "diffmat", "--nodes", nodes)
+    def test_bad_node_file_is_config_error(self, capsys, tmp_path, content, reason):
+        # a node file is refused by its name; the nodes it holds, given as a list, are
+        # refused with the reason kept as the error's cause
+        path = tmp_path / "nodes.txt"
+        path.write_text(content)
+        status, out, err = run_cli(capsys, "diffmat", "--nodes", str(path))
         assert status == 2 and out == ""
-        assert err == f"liealg: {reason}\n"
+        assert err == f"liealg: bad node list {str(path)!r}\n"
+        nodes = ",".join(content.split())
+        status, out, err = run_cli(capsys, "diffmat", f"--nodes={nodes}")
+        assert status == 2 and out == "" and err.count("\n") == 1
+        with pytest.raises(ConfigError) as info:
+            cli._partition_from_config(RunConfig("diffmat", nodes=nodes))
+        assert reason in str(info.value.__cause__)
+
+    def test_bad_node_list_is_config_error(self, capsys):
+        for nodes, reason in [("0,x,1", "bad node list '0,x,1'"),
+                              ("0,2,1", "partition nodes must be strictly increasing"),
+                              ("0.5", "a partition needs at least two nodes")]:
+            status, out, err = run_cli(capsys, "diffmat", "--nodes", nodes)
+            assert status == 2 and out == ""
+            assert err == f"liealg: {reason}\n"
 
     def test_non_finite_matrix_is_an_error(self, capsys):
         # 1001 uniform nodes on [-1, 1] overflow the pi-weights
@@ -192,9 +210,14 @@ class TestDiffmat:
         assert status == 2 and out == ""
         assert err == "liealg: diffmat takes exactly one of --nodes and --n\n"
 
-    def test_nodes_with_n_is_config_error(self, capsys):
-        # a dump of the nodes alone would drop --n with no word
-        status, out, err = run_cli(capsys, "diffmat", "--nodes", "0,1", "--n", "3")
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_nodes_with_n_is_config_error(self, capsys, tmp_path, from_file):
+        # a dump of the nodes alone would drop --n with no word; the check comes before
+        # the value is read, so a file name beside --n gets the same word
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text("0\n1\n")
+        status, out, err = run_cli(capsys, "diffmat", "--nodes", str(nodes) if from_file
+                                   else "0,1", "--n", "3")
         assert status == 2 and out == ""
         assert err == "liealg: diffmat takes exactly one of --nodes and --n\n"
 
