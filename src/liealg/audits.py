@@ -57,30 +57,19 @@ class AuditReport:
         return self.expected == self.observed
 
 
-def _ranks(stack: np.ndarray, floors, rel_tol: float) -> list[int]:
-    """Numerical rank of each matrix of a stack.
-
-    A matrix whose infinity norm is at most its floor has rank 0; every other
-    matrix gets its rank from one :func:`numerical_rank` call on the stack of
-    those matrices: its checks, then one batched SVD, or none if no matrix is
-    left.  A floor of 0.0 gives the plain rank; ``tol * norm(H) ** k`` gives
-    the norm-decay test for H^k; an infinite floor marks a matrix known to be
-    zero.  The relative threshold of :func:`numerical_rank` is taken against
-    the matrix's own largest singular value, which can never certify rank 0 of
-    a round-off residue; the decay scale norm(H)^k can.
-    """
-    # a NaN norm stays live, so the rank checks reject it as non-finite
-    live = [not top <= floor for top, floor in zip(matrix_norm(stack, ord=np.inf).tolist(), floors)]
-    ranks = iter(numerical_rank(stack if all(live) else stack[live], rel_tol).tolist())
-    return [next(ranks) if alive else 0 for alive in live]
-
-
-def _decay_floor(scale: float, k: int, tol: float = NILPOTENCY_TOL) -> float:
-    """``tol * scale ** k``, the decay floor of H^k; an overflow raises ``ValueError``."""
-    try:
-        return tol * scale ** k
-    except OverflowError:
-        raise ValueError(f"norm-decay floor overflows float64 ({scale:.4e} ** {k})") from None
+def _decayed(powers: np.ndarray, bases: np.ndarray, ks, tol: float) -> list[bool]:
+    """``norm(H^k) <= tol * norm(H) ** k`` in the infinity norm, for each H^k of a stack given
+    the stack of H and each row's k: the decay scale can certify that a round-off residue
+    is zero, where the relative threshold of :func:`numerical_rank` never can.  A NaN norm
+    is never zero; a floor that overflows raises ``ValueError``."""
+    verdicts = []
+    for top, scale, k in zip(matrix_norm(powers, ord=np.inf).tolist(),
+                             matrix_norm(bases, ord=np.inf).tolist(), ks):
+        try:
+            verdicts.append(top <= tol * scale ** k)
+        except OverflowError:
+            raise ValueError(f"norm-decay floor overflows float64 ({scale:.4e} ** {k})") from None
+    return verdicts
 
 
 def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
@@ -88,20 +77,18 @@ def _diff_rank_reports(cases, rel_tol: float) -> list[AuditReport]:
     vanishing (n+1)-th power: reports ``prefix`` + ``rank[n=..]`` and ``nilpotent[n=..]``
     for each case, in case order.
 
-    Rows of equal n are checked as one stack of Z and Z^(n+1): one
-    :func:`_powers` call and one :func:`_ranks` call per n.
+    Rows of equal n are checked as one stack: one :func:`numerical_rank` call on their Z
+    and one :func:`_decayed` call on their Z^(n+1).
     """
     pairs: list = [None] * len(cases)
     for group, zs in _z_stacks([nodes for nodes, _ in cases]):
         n = zs.shape[-1] - 1
-        floors = [_decay_floor(z, n + 1) for z in matrix_norm(zs, ord=np.inf).tolist()]
-        ranks = _ranks(np.concatenate([zs, _powers(zs, n + 1)[-1]]),
-                       [0.0] * len(group) + floors, rel_tol)
-        for row, i in enumerate(group):
+        ranks = numerical_rank(zs, rel_tol).tolist()
+        zeros = _decayed(_powers(zs, n + 1)[-1], zs, [n + 1] * len(group), NILPOTENCY_TOL)
+        for i, rank, zero in zip(group, ranks, zeros):
             prefix = cases[i][1]
-            pairs[i] = (AuditReport(f"{prefix}rank[n={n}]", n, ranks[row], rel_tol),
-                        AuditReport(f"{prefix}nilpotent[n={n}]", True,
-                                    ranks[len(group) + row] == 0, NILPOTENCY_TOL))
+            pairs[i] = (AuditReport(f"{prefix}rank[n={n}]", n, rank, rel_tol),
+                        AuditReport(f"{prefix}nilpotent[n={n}]", True, zero, NILPOTENCY_TOL))
     return [report for pair in pairs for report in pair]
 
 
@@ -122,14 +109,15 @@ def audit_rank_ladder(h, rel_tol: float = 1e-8, prefix: str = "rank_ladder") -> 
     if h.shape[0] != h.shape[1]:
         raise ValueError(f"rank ladder needs a square matrix, got shape {h.shape}")
     n = h.shape[0] - 1
-    scale = float(matrix_norm(h, ord=np.inf))
-    floors = [0.0] * (n + 1) + [_decay_floor(scale, n + 1)]
-    ranks = _ranks(_powers(h, n + 1), floors, rel_tol)
+    powers = _powers(h, n + 1)
+    # H^(n+1) reads rank 0 once the decay test below passes; at n = 0 it is H itself
+    ranks = numerical_rank(powers[:-1], rel_tol).tolist() + [0]
     if ranks[1] != n:
         raise ValueError(f"hypothesis failed: numerical rank of H is not {n}")
-    if ranks[n + 1] != 0:
+    if not _decayed(powers[-1:], h[None], [n + 1], NILPOTENCY_TOL)[0]:
         raise ValueError(f"hypothesis failed: H^{n + 1} is not numerically zero")
-    return [AuditReport(f"{prefix}[k={k}]", n + 1 - k, ranks[k], rel_tol) for k in range(n + 2)]
+    return [AuditReport(f"{prefix}[k={k}]", n + 1 - k, rank, rel_tol)
+            for k, rank in enumerate(ranks)]
 
 
 def audit_nilpotent_poly_rank(b, coeffs, k: int, rel_tol: float = 1e-8) -> AuditReport:
@@ -153,14 +141,14 @@ def audit_nilpotent_poly_rank(b, coeffs, k: int, rel_tol: float = 1e-8) -> Audit
 
 def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[int]:
     """``rank(a_k B^k + ... + a_m B^m)`` of each B of a ``(G, dim, dim)`` stack, given its
-    ``(coeffs, k)``, from one :func:`_ranks` call that also checks each B^dim == 0.
+    ``(coeffs, k)``, after checking each B^dim == 0 by :func:`_decayed`.
 
     Every power comes from one :func:`_powers` chain, so each matrix has the same bits as
     the 2-D chain of its case alone; the zero padding of the shorter coefficient rows
     only adds +0.0 to sums that never hold -0.0.  The polynomial is B^k (a_k I + a_{k+1} B
     + ...), whose second factor is invertible since a_k != 0 and B is nilpotent, so it is
-    zero exactly when B^k is: its floor is infinite where norm(B^k) <= rel_tol norm(B)^k,
-    a norm-decay test, and 0.0 elsewhere.
+    zero exactly when B^k is: it has rank 0 where norm(B^k) <= rel_tol norm(B)^k, a
+    norm-decay test, and its :func:`numerical_rank` elsewhere, all from one call.
     """
     count, dim = len(cases), bs.shape[-1]
     coeffs = np.zeros((count, max(c.size for c, _ in cases)))
@@ -168,18 +156,14 @@ def _poly_ranks(bs: np.ndarray, cases, rel_tol: float) -> list[int]:
         row[:c.size] = c
     ks, rows = np.array([k for _, k in cases]), np.arange(count)
     powers = _powers(bs, max(dim, int(ks.max()) + coeffs.shape[1] - 1))
+    if not all(_decayed(powers[dim], bs, [dim] * count, NILPOTENCY_TOL)):
+        raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
     poly = np.zeros_like(bs)
     for j, column in enumerate(coeffs.T):
         poly += column[:, None, None] * powers[ks + j, rows]
-    scales = matrix_norm(bs, ord=np.inf).tolist()
-    tops = matrix_norm(powers[ks, rows], ord=np.inf).tolist()
-    floors = ([_decay_floor(scale, dim) for scale in scales]
-              + [np.inf if top <= _decay_floor(scale, k, rel_tol) else 0.0
-                 for top, scale, k in zip(tops, scales, ks.tolist())])
-    ranks = _ranks(np.concatenate([powers[dim], poly]), floors, rel_tol)
-    if any(ranks[:count]):
-        raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
-    return ranks[count:]
+    zeros = _decayed(powers[ks, rows], bs, ks.tolist(), rel_tol)
+    ranks = iter(numerical_rank(poly[[not zero for zero in zeros]], rel_tol).tolist())
+    return [0 if zero else next(ranks) for zero in zeros]
 
 
 # Fixed 2x2 nilpotent matrix of the variable-coefficient counterexample:

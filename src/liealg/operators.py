@@ -97,6 +97,8 @@ def _exponents(exponents, d: int) -> tuple[int, ...]:
     Each order goes through ``operator.index``, so 1.5 is rejected, never
     truncated.
     """
+    if d < 1:
+        raise ValueError("need d >= 1 partitions")
     exponents = tuple(map(index, exponents))
     if len(exponents) != d:
         raise ValueError(f"exponent vector {exponents} has wrong length")

@@ -14,12 +14,12 @@ from liealg.audits import (
     COUNTEREXAMPLE_MATRIX,
     NILPOTENCY_TOL,
     AuditReport,
+    _decayed,
     _diff_rank_reports,
     _lifted_poly_family,
     _lifted_poly_reports,
     _poly_ranks,
     _random_poly_reports,
-    _ranks,
     audit_rank_ladder,
     audit_nilpotent_poly_rank,
     counterexample_det,
@@ -95,59 +95,46 @@ def reference_random_poly_rank_case(rng, rel_tol):
 
 def reference_poly_ranks(cases, rel_tol):
     """The per-case builder that the stacked ``_poly_ranks`` replaced: one 2-D power chain
-    per ``(B, coeffs, k)``, matrices ``[B^dim, poly]`` interleaved case by case."""
-    matrices, floors = [], []
+    per ``(B, coeffs, k)``, its own norm test and one 2-D rank per nonzero polynomial."""
+    ranks = []
     for b, coeffs, k in cases:
         dim = b.shape[0]
         chain = [np.eye(dim), b]  # B^j = B^(j-1) @ B, from B itself
         while len(chain) <= max(dim, k + len(coeffs) - 1):
             chain.append(chain[-1] @ b)
+        if not norm_inf(chain[dim]) <= NILPOTENCY_TOL * norm_inf(b) ** dim:
+            raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
         poly = np.zeros_like(b)
         for j, c in enumerate(coeffs):
             poly += c * chain[k + j]
-        scale = float(np.linalg.matrix_norm(b, ord=np.inf))
-        matrices += [chain[dim], poly]
-        floors += [NILPOTENCY_TOL * scale ** dim,
-                   np.inf if np.linalg.matrix_norm(chain[k], ord=np.inf) <= rel_tol * scale ** k
-                   else 0.0]
-    ranks = audits._ranks(np.stack(matrices), floors, rel_tol)
-    if any(ranks[::2]):
-        raise ValueError(f"hypothesis failed: B^{dim} is not numerically zero")
-    return ranks[1::2]
+        zero = norm_inf(chain[k]) <= rel_tol * norm_inf(b) ** k
+        ranks.append(0 if zero else numerical_rank(poly, rel_tol))
+    return ranks
 
 
-class TestRanks:
-    def test_zero_floor_gives_plain_rank(self):
-        stack = np.stack([np.eye(3), np.diag([1.0, 1e-12, 0.0]), np.zeros((3, 3))])
-        assert _ranks(stack, [0.0] * 3, 1e-8) == [3, 1, 0]
-        assert _ranks(stack, [0.0] * 3, 1e-14) == [3, 2, 0]
+class TestDecayed:
+    def test_norm_at_the_floor_is_zero_and_one_ulp_above_is_not(self):
+        # norm(H) = 2 and k = 1: the floor is tol * 2, met exactly by a power of norm tol * 2
+        floor = 1e-8 * 2.0
+        bases = np.stack([2.0 * np.eye(2)] * 2)
+        powers = np.stack([np.diag([floor, 0.0]), np.diag([np.nextafter(floor, 1.0), 0.0])])
+        assert _decayed(powers, bases, [1, 1], 1e-8) == [True, False]
 
-    def test_norm_at_or_below_floor_gives_rank_zero(self):
-        stack = np.stack([np.diag([1e-9, 0.0]), np.eye(2), np.diag([1e-9, 0.0])])
-        assert _ranks(stack, [1e-9, 0.0, np.nextafter(1e-9, 0.0)], 1e-8) == [0, 2, 1]
-        assert _ranks(stack, [1.0] * 3, 1e-8) == [0, 0, 0]
+    def test_nan_power_is_never_zero(self):
+        powers = np.stack([np.zeros((2, 2)), np.full((2, 2), np.nan)])
+        assert _decayed(powers, np.stack([np.eye(2)] * 2), [3, 3], 1e-8) == [True, False]
 
-    def test_non_finite_matrix_is_never_rank_zero(self):
-        stack = np.stack([np.zeros((2, 2)), np.full((2, 2), np.nan)])
-        with pytest.raises(ValueError, match="finite"):
-            _ranks(stack, [1.0, 1.0], 1e-8)
+    def test_overflowing_floor_is_value_error(self):
+        bases = np.array([[[0.0, 1e200], [0.0, 0.0]]])
+        with pytest.raises(ValueError, match=r"floor overflows float64 \(1.0000e\+200 \*\* 2\)"):
+            _decayed(np.zeros((1, 2, 2)), bases, [2], 1e-8)
 
-    def test_job_checks_before_its_count_step(self, monkeypatch):
-        def no_svd(*args, **kwargs):
-            raise AssertionError("the SVD ran")
-
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
-        for stack, rel_tol, match in ((np.full((1, 2, 2), np.nan), 1e-8, "finite"),
-                                      (np.eye(2)[None] * 1j, 1e-8, "real"),
-                                      (np.eye(2)[None], 1.0, "rel_tol"),
-                                      (np.eye(2)[None], 0.0, "rel_tol")):
-            with pytest.raises(ValueError, match=match):
-                _ranks(stack, [0.0], rel_tol)
-        # every matrix at or below its floor: all ranks 0, no SVD call, and rel_tol still checked
-        assert _ranks(np.zeros((2, 3, 3)), [0.0, 0.0], 1e-8) == [0, 0]
-        assert _ranks(np.stack([np.eye(2), 2.0 * np.eye(2)]), [1.0, 2.0], 1e-8) == [0, 0]
-        with pytest.raises(ValueError, match="rel_tol"):
-            _ranks(np.zeros((2, 3, 3)), [0.0, 0.0], 1.0)
+    def test_each_row_uses_its_own_k(self):
+        # norm(H) = 2 and tol = 1/4: a power of norm 1 meets the floor 1 at k = 2 exactly,
+        # clears the floor 2 at k = 3 and exceeds the floor 1/2 at k = 1
+        bases = np.stack([2.0 * np.eye(2)] * 3)
+        powers = np.stack([np.eye(2)] * 3)
+        assert _decayed(powers, bases, [2, 1, 3], 0.25) == [True, False, True]
 
 
 class TestDiffRankAudit:
@@ -300,7 +287,7 @@ class TestNilpotentPolyRankAudit:
             assert len({r.case_name for r in reports}) > 10  # several n and k per stack
 
     @pytest.mark.parametrize("seed", [42, 7, 1])
-    def test_stacked_builder_equals_per_case_loop(self, seed, monkeypatch):
+    def test_stacked_builder_equals_per_case_loop(self, seed):
         rng = np.random.default_rng(seed)
         for n in (2, 5, 8):
             zs = np.stack([diff_matrix(jittered_partition(rng, n)) for _ in range(12)])
@@ -308,23 +295,13 @@ class TestNilpotentPolyRankAudit:
             # every k in 0..n+1 and every coefficient length 1..4 within one stack
             cases = [(rng.uniform(0.25, 2.0, size=1 + i % 4) * rng.choice([-1.0, 1.0]),
                       i % (n + 2)) for i in range(len(bs))]
-            seen = []
-
-            def recording_ranks(stack, floors, rel_tol):
-                seen.append((stack, floors))
-                return _ranks(stack, floors, rel_tol)
-
-            monkeypatch.setattr(audits, "_ranks", recording_ranks)
+            verdicts = set()
             for rel_tol in (1e-8, 1e-10):
                 got = _poly_ranks(bs, cases, rel_tol)
                 assert got == reference_poly_ranks(
                     [(b, coeffs, k) for b, (coeffs, k) in zip(bs, cases)], rel_tol)
-                # the same matrices and floors, bit for bit, only grouped by kind
-                (stack, floors), (reference, reference_floors) = seen[-2:]
-                regrouped = np.concatenate([reference[0::2], reference[1::2]])
-                assert stack.tobytes() == regrouped.tobytes()
-                assert floors == reference_floors[0::2] + reference_floors[1::2]
-                assert {0.0, np.inf} <= set(floors[len(bs):])  # both verdicts occur
+                verdicts.update(rank == 0 for rank in got)
+            assert verdicts == {True, False}  # zero and nonzero polynomials both occur
 
     @pytest.mark.parametrize("seed", [7, 42])
     def test_power_past_nilpotency_index_has_rank_zero(self, seed):
@@ -353,6 +330,16 @@ class TestNilpotentPolyRankAudit:
         for k, rank in enumerate((4, 2, 0, 0)):
             report = audit_nilpotent_poly_rank(b, [1.0, 0.5], k)
             assert (report.expected, report.observed) == (rank, rank)
+
+    def test_all_zero_polynomials_make_no_svd_and_still_check_rel_tol(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the SVD ran")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        bs = np.stack([JORDAN2, 3.0 * JORDAN2])
+        assert _poly_ranks(bs, [(np.array([1.0]), 2), (np.array([2.0, 1.0]), 3)], 1e-8) == [0, 0]
+        with pytest.raises(ValueError, match="rel_tol"):
+            _poly_ranks(bs, [(np.array([1.0]), 2)] * 2, 1.0)
 
     def test_stacked_builder_checks_every_hypothesis(self):
         bs = np.stack([JORDAN2, np.eye(2), JORDAN2])
@@ -505,7 +492,7 @@ class TestLiftedPolyRankAudit:
             numerical_rank(poly_operator_matrix(terms, ps)) == 16 for terms in family]
 
     def test_default_suite_ranks_are_exact_and_clear_of_the_threshold(self):
-        # the rank threshold is relative to sigma_1, so it cannot certify rank 0 (floor 0.0);
+        # the rank threshold is relative to sigma_1, so it cannot certify rank 0 (no decay test);
         # no case of the default suite's grid needs it: the exact ranks are 8, 9, 12 or 16,
         # every float rank equals its exact rank, and every singular value lies more than 3
         # decades from rel_tol * sigma_1 (4.1 the closest of the cases with no constant term)
@@ -712,6 +699,8 @@ class TestDefaultSuite:
         # every stack, the lifted family's 234 matrices included, is decomposed here
         assert {ident for _, ident in svd_calls} == {me}
         assert (234, LIFTED_TOTAL, LIFTED_TOTAL) in [shape for shape, _ in svd_calls]
-        assert len(svd_calls) > 10
+        # one SVD per stack, and no nilpotency power is ever decomposed
+        assert len(svd_calls) == 36
+        assert sum(shape[0] for shape, _ in svd_calls) == 450
         assert reports == sequential_suite(42, 1e-8)
 

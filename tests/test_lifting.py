@@ -207,6 +207,11 @@ class TestRealize:
         got = poly_operator_matrix([(y, (0, 0))], ps)
         np.testing.assert_array_equal(got, np.diag([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0]))
 
+    def test_no_partitions_is_refused(self):
+        # the same refusal as poly_operator_matrix, not min() of an empty sequence
+        with pytest.raises(ValueError, match=r"^need d >= 1 partitions$"):
+            realize(LiftedOperator((), ()))
+
     def test_alpha_range(self):
         with pytest.raises(ValueError, match="dimension index"):
             lifted_diff(3, UNIT_SQUARE)
