@@ -245,16 +245,13 @@ def _lifted_poly_family():
 
 def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     """The full audit suite, on the calling thread; deterministic for a fixed seed.  The
-    lifted family draws no random numbers and is decided first, while the heap is small;
-    its one-case 3x3 grid refuses a bad ``rel_tol`` before any SVD."""
-    ps2 = [Partition(np.arange(3.0)), Partition(np.arange(3.0))]
-    constant = _lifted_poly_reports([[(-7.0, (0, 0))]], ps2, rel_tol)
+    lifted family draws no random numbers and is decided first, while the heap is small."""
     # unit node spacing keeps norm(Z) of order one, so +-1 coefficients stay
     # within the decisive range of the rank threshold
-    ps3 = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
+    ps = [Partition(np.arange(4.0)), Partition(np.arange(4.0) - 1.5)]
     lifted = _lifted_poly_reports(
         [[(1.0, (0, 0)), (1.0, (1, 0)), (1.0, (0, 1))], [(1.0, (2, 0)), (1.0, (0, 1))],
-         *_lifted_poly_family()], ps3, rel_tol)
+         [(-7.0, (0, 0))], *_lifted_poly_family()], ps, rel_tol)
     rng = np.random.default_rng(seed)
     diff_cases = [(np.array([0.0, 1.0]), "diff_"), (np.array([0.0, 1.0, 2.0]), "diff_")]
     for t in range(100):
@@ -282,7 +279,7 @@ def default_suite(seed: int = 42, rel_tol: float = 1e-8) -> list[AuditReport]:
     reports.append(AuditReport("counterexample_identity_20x20", True, deviation <= 1e-12, 1e-12))
     reports.append(AuditReport("counterexample_zero_at(1;0.5)", True,
                                abs(counterexample_det(1.0, 0.5)) <= 1e-12, 1e-12))
-    return reports + lifted[:2] + constant + lifted[2:]
+    return reports + lifted
 
 
 def reports_to_csv(reports: list[AuditReport]) -> str:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liealg import bvp, cli
+from liealg import audits, bvp, cli
 from liealg.cli import (
     COMMANDS,
     SETTINGS,
@@ -31,14 +31,14 @@ DATA = Path(__file__).parent / "data"
 # each command's flags besides -h/--help
 FLAGS = {
     "diffmat": {"--nodes", "--n", "--out"},
-    "rank-audit": {"--rel-tol", "--out"},
+    "rank-audit": {"--out"},
     "table1": {"--out"},
     "table3": {"--n1", "--n2", "--out"},
     "plot-figure1": {"--n1", "--n2", "--out"},
 }
 # a value of each setting that is a flag, as given on the command line and as parsed
 FLAG_VALUES = {"nodes": ("0,1", "0,1"), "n": ("3", 3), "n1": ("5", 5), "n2": ("6", 6),
-               "out": ("x.txt", "x.txt"), "rel_tol": ("1e-10", 1e-10)}
+               "out": ("x.txt", "x.txt")}
 
 EXPECTED_Z012 = np.array([[-1.5, 2.0, -0.5], [-0.5, 0.0, 0.5], [0.5, -2.0, 1.5]])
 
@@ -267,6 +267,11 @@ class TestTable1:
         assert status == 2 and out == ""
         assert err == f"liealg: cannot write {path}: No such file or directory\n"
 
+    def test_empty_out_is_a_path_that_cannot_be_written(self, capsys):
+        # an empty --out names no file, so it fails as any unwritable path does
+        assert run_cli(capsys, "table1", "--out", "") == (
+            2, "", "liealg: cannot write : No such file or directory\n")
+
     def test_out_naming_a_directory_is_config_error(self, capsys, tmp_path):
         status, out, err = run_cli(capsys, "diffmat", "--n", "3", "--out", str(tmp_path))
         assert status == 2 and out == ""
@@ -353,8 +358,10 @@ class TestRankAudit:
                 2, "", f"liealg: seed must be non-negative, got {seed}\n")
 
     def test_rel_tol_flag_validated(self, capsys):
-        status, _, err = run_cli(capsys, "rank-audit", "--rel-tol", "2.0")
-        assert status == 2 and "rel-tol" in err
+        # the command line ranks at 1e-8 only; default_suite(seed, rel_tol) takes others
+        for value in ("1e-8", "2.0"):
+            assert_usage_error(capsys, ["rank-audit", "--rel-tol", value],
+                               "unrecognized arguments: --rel-tol")
 
     @pytest.mark.parametrize("seed", [42, 7])
     def test_output_matches_golden_file(self, seed):
@@ -364,8 +371,7 @@ class TestRankAudit:
 
     def test_non_default_tolerance_matches_golden_file(self):
         # only a tolerance other than NILPOTENCY_TOL shows which rows print which
-        status, text = run(RunConfig("rank-audit", seed=42, rel_tol=1e-10))
-        assert status == 0
+        text = audits.reports_to_csv(audits.default_suite(42, 1e-10))
         assert text.encode() == (DATA / "rank_audit_seed42_tol1e-10.csv").read_bytes()
 
 
@@ -544,7 +550,6 @@ class TestRunValidates:
         (RunConfig("diffmat", n=25), "n must lie in 1..20, got 25"),
         (RunConfig("diffmat", nodes="0,1", n=0), "n must lie in 1..20, got 0"),
         (RunConfig("rank-audit", seed=-1), "seed must be non-negative, got -1"),
-        (RunConfig("rank-audit", rel_tol=2.0), "rel-tol must lie in (0, 1), got 2.0"),
         (RunConfig("table3", n1=3), "n1 must lie in 4..20, got 3"),
         (RunConfig("plot-figure1", n1=5, n2=21), "n2 must lie in 4..20, got 21"),
     ])
@@ -579,11 +584,11 @@ class TestCommandTables:
         assert [(f.name, f.default) for f in fields[1:]] == [
             (key, default) for key, (_, default, _, _) in SETTINGS.items()]
         assert RunConfig.__module__ == "liealg.cli" and RunConfig.__qualname__ == "RunConfig"
-        config = RunConfig("diffmat", nodes="0,1", rel_tol=1e-10)
+        config = RunConfig("diffmat", nodes="0,1", out="x.txt")
         assert pickle.loads(pickle.dumps(config)) == config
         assert repr(RunConfig("table1")) == (
             "RunConfig(command='table1', nodes=None, n=None, n1=None, n2=None, out=None, "
-            "rel_tol=1e-08, seed=42)")
+            "seed=42)")
 
     def test_flags_are_the_table_flags(self):
         assert set(FLAGS) == set(COMMANDS)
@@ -606,11 +611,9 @@ class TestCommandTables:
         with pytest.raises(SystemExit):
             main([command, "--help"])
         out = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
-        for key, (_, default, commands, flag_help) in SETTINGS.items():
+        for key, (_, _, commands, flag_help) in SETTINGS.items():
             if command in commands:
                 assert flag_help and flag_help in out, key
-                if default is not None:
-                    assert f"{flag_help} (default: {default})" in out, key
         assert "(default: None)" not in out
 
     def test_top_level_help_lists_the_commands(self, capsys):
